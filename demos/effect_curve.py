@@ -31,20 +31,20 @@ hs = resolve_bandwidths(rule, sample, spec.boundary, spec.assignment, grid,
 print(f"n = {n}, rule-of-thumb bandwidth h = {hs[0]:.3f} (shared by all points)")
 
 fits = fit_grid(sample, grid, spec.assignment, "triangular", hs, p=1)
-surface = build_surface(fits, n, grid=grid)
+surface = build_surface(fits, grid=grid)
 band = uniform_band(fits, surface, alpha=0.05, num_draws=10000, seed=11)
 print(f"simultaneous critical value: {band.quantile:.3f} "
       f"(pointwise uses 1.960)\n")
 
 print(f"{'point':>12} {'tau':>7} {'est':>7} {'se':>6} "
       f"{'95% CI':>17} {'95% band':>17}")
-for k, fit in enumerate(fits):
-    ci = pointwise_ci(fit, 0.05)
+for k, (fit, se) in enumerate(zip(fits, surface.se)):
+    ci = pointwise_ci(fit, se, 0.05)
     bi = band.intervals[k]
     tau = population_tau(spec, grid.points[k])
     b1, b2 = grid.points[k]
     print(f"({b1:5.1f},{b2:5.1f}) {tau:7.3f} {fit.theta_hat:7.3f} "
-          f"{fit.se:6.3f} [{ci.lower:7.3f},{ci.upper:7.3f}] "
+          f"{se:6.3f} [{ci.lower:7.3f},{ci.upper:7.3f}] "
           f"[{bi.lower:7.3f},{bi.upper:7.3f}]")
 
 inside_band = all(

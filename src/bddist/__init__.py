@@ -28,8 +28,6 @@ from .covariance import (
     build_surface,
     influence_values,
     regularize_correlation,
-    upsilon,
-    xi_pair,
 )
 from .data import Sample
 from .errors import (
@@ -43,7 +41,6 @@ from .errors import (
     InvalidInputError,
     InvalidLevelError,
     InvalidPairingError,
-    MetricProbeError,
     NoMassError,
     QuadratureError,
     SingularGramError,
@@ -59,7 +56,6 @@ from .geometry import (
     distance,
     load_boundary,
     make_grid,
-    register_metric,
     signed_distance,
     signed_distances,
 )

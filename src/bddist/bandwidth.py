@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import xi_pair
+from .covariance import influence_values
 from .errors import (
     BandwidthSelectionError,
     BddistError,
     InvalidBandwidthError,
     InvalidInputError,
 )
-from .geometry import BoundaryPolyline, as_point, metric_function
+from .geometry import BoundaryPolyline, distance
 from .kernels import build_distance_column
 from .locpoly import fit_point
 
@@ -72,52 +72,47 @@ def rot_bandwidth(sample, polyline: BoundaryPolyline, c0: float = 1.0,
     return rot_bandwidth_from_scale(rot_scale(sample, polyline), c0, n, exponent)
 
 
-def candidate_bandwidths(sample, eval_pt, rule, num: int = 15,
-                         metric: str = "euclidean") -> np.ndarray:
-    """Log-spaced candidate grid between the 5th percentile of nonzero |D|
-    and half the data diameter."""
+def candidate_bandwidths(column, diameter: float, num: int = 15) -> np.ndarray:
+    """Log-spaced candidate grid between the 5th percentile of nonzero |D| in
+    the point's distance column and half the data diameter."""
     if num < 5:
         raise InvalidInputError(f"candidate grid needs >= 5 points, got {num}")
-    column = build_distance_column(sample, eval_pt, rule, metric)
     mags = np.abs(column.values)
     mags = mags[mags > 0.0]
     if mags.size == 0:
         raise InvalidInputError("all observations coincide with the evaluation point")
     lo = float(np.percentile(mags, 5.0))
-    hi = 0.5 * data_diameter(sample.x)
+    hi = 0.5 * diameter
     if not lo < hi:
         raise InvalidInputError(f"empty candidate range [{lo}, {hi}]")
     return np.geomspace(lo, hi, num)
 
 
-def mse_pilot_objective(sample, eval_pt, rule, kernel: str, p: int, h: float,
-                        metric: str = "euclidean") -> float:
+def mse_pilot_objective(sample, column, kernel: str, p: int, h: float) -> float:
     """Estimated MSE at bandwidth h: squared order-(p+1) vs order-p fit gap
     plus the variance estimate of the order-p fit."""
-    fit_p = fit_point(sample, eval_pt, rule, kernel, h, p, metric)
-    fit_p1 = fit_point(sample, eval_pt, rule, kernel, h, p + 1, metric,
-                       column=fit_p.column)
+    fit_p = fit_point(sample, column.eval_pt, None, kernel, h, p, column=column)
+    fit_p1 = fit_point(sample, column.eval_pt, None, kernel, h, p + 1, column=column)
     bias_proxy = fit_p.theta_hat - fit_p1.theta_hat
-    variance = xi_pair(fit_p, fit_p)
+    n = len(column)
+    phi0, phi1 = (influence_values(fit_p, side) for side in (0, 1))
+    variance = float(phi0 @ phi0 + phi1 @ phi1) / (n * n)
     return bias_proxy * bias_proxy + variance
 
 
-def mse_pilot_bandwidth(sample, eval_pt, rule, kernel: str, p: int,
-                        candidates=None, metric: str = "euclidean") -> float:
-    """Candidate bandwidth minimizing the estimated MSE at one point.
+def mse_pilot_bandwidth(sample, column, kernel: str, p: int, candidates) -> float:
+    """Candidate bandwidth minimizing the estimated MSE at the column's point.
 
     Candidates whose fits fail (too few observations, singular design) are
     skipped; if every candidate fails the selection fails.
     """
-    if candidates is None:
-        candidates = candidate_bandwidths(sample, eval_pt, rule, metric=metric)
     candidates = np.asarray(candidates, dtype=float)
     if candidates.size < 5:
         raise InvalidInputError("candidate grid needs >= 5 points")
     best_h, best_val = None, np.inf
     for h in candidates:
         try:
-            val = mse_pilot_objective(sample, eval_pt, rule, kernel, p, float(h), metric)
+            val = mse_pilot_objective(sample, column, kernel, p, float(h))
         except BddistError:
             continue
         if val < best_val:
@@ -125,13 +120,13 @@ def mse_pilot_bandwidth(sample, eval_pt, rule, kernel: str, p: int,
     if best_h is None:
         raise BandwidthSelectionError(
             f"no candidate bandwidth in [{candidates.min():.3g}, "
-            f"{candidates.max():.3g}] produced a valid fit at {tuple(as_point(eval_pt))}"
+            f"{candidates.max():.3g}] produced a valid fit at {tuple(column.eval_pt)}"
         )
     return best_h
 
 
 def kink_adaptive_bandwidth(eval_pt, polyline: BoundaryPolyline, h_mse: float,
-                            rot_h: float, metric: str = "euclidean") -> float:
+                            rot_h: float) -> float:
     """min(h_mse, max(rot_h, distance to the nearest kink)).
 
     With no marked kinks the pilot bandwidth is returned unchanged.
@@ -141,8 +136,7 @@ def kink_adaptive_bandwidth(eval_pt, polyline: BoundaryPolyline, h_mse: float,
     kinks = polyline.kink_points
     if len(kinks) == 0:
         return float(h_mse)
-    q = as_point(eval_pt)
-    d = float(np.min(metric_function(metric)(kinks, q)))
+    d = min(distance(kink, eval_pt) for kink in kinks)
     return float(min(h_mse, max(rot_h, d)))
 
 
@@ -190,45 +184,44 @@ BandwidthRule = Fixed | RuleOfThumb | MsePilot | KinkAdaptive
 
 
 def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline, assignment,
-                       grid, kernel: str, p: int,
-                       metric: str = "euclidean") -> np.ndarray:
-    """Per-evaluation-point bandwidths under the given rule.
+                       grid, kernel: str, p: int) -> list:
+    """Per-evaluation-point bandwidth outcomes under the given rule.
 
-    Resolved values must be positive and no larger than the data diameter.
+    Returns one entry per grid point: the bandwidth as a float, or the
+    BddistError raised while selecting it at that point (the convention of
+    ``fit_grid``).  Failures that concern the whole rule still raise: an
+    unknown rule, a degenerate distance scale, or a resolved bandwidth
+    outside (0, data diameter].
+
+    The pilot rules build one distance column per point, shared by the
+    candidate grid and every pilot fit there.
     """
-    M = grid.count
     diameter = data_diameter(sample.x)
     if isinstance(rule, Fixed):
-        hs = np.full(M, float(rule.h))
+        outcomes = [float(rule.h)] * grid.count
     elif isinstance(rule, RuleOfThumb):
-        hs = np.full(M, rot_bandwidth(sample, polyline, rule.c0, rule.exponent))
-    elif isinstance(rule, MsePilot):
-        hs = np.array([
-            mse_pilot_bandwidth(
-                sample, pt, assignment, kernel, p,
-                candidates=candidate_bandwidths(
-                    sample, pt, assignment, rule.num_candidates, metric
-                ),
-                metric=metric,
-            )
-            for pt in grid.points
-        ])
-    elif isinstance(rule, KinkAdaptive):
-        rot_h = rot_bandwidth(sample, polyline, rule.c0, rule.exponent)
-        hs = np.empty(M)
-        for k, pt in enumerate(grid.points):
-            h_mse = mse_pilot_bandwidth(
-                sample, pt, assignment, kernel, p,
-                candidates=candidate_bandwidths(
-                    sample, pt, assignment, rule.num_candidates, metric
-                ),
-                metric=metric,
-            )
-            hs[k] = kink_adaptive_bandwidth(pt, polyline, h_mse, rot_h, metric)
+        outcomes = [rot_bandwidth(sample, polyline, rule.c0, rule.exponent)] * grid.count
+    elif isinstance(rule, (MsePilot, KinkAdaptive)):
+        rot_h = (rot_bandwidth(sample, polyline, rule.c0, rule.exponent)
+                 if isinstance(rule, KinkAdaptive) else None)
+        outcomes = []
+        for pt in grid.points:
+            try:
+                column = build_distance_column(sample, pt, assignment)
+                h = mse_pilot_bandwidth(
+                    sample, column, kernel, p,
+                    candidate_bandwidths(column, diameter, rule.num_candidates),
+                )
+                if rot_h is not None:
+                    h = kink_adaptive_bandwidth(pt, polyline, h, rot_h)
+            except BddistError as err:
+                h = err
+            outcomes.append(h)
     else:
         raise InvalidInputError(f"unknown bandwidth rule: {rule!r}")
+    hs = np.array([h for h in outcomes if not isinstance(h, BddistError)])
     if np.any(hs <= 0.0) or np.any(hs > diameter):
         raise InvalidBandwidthError(
             f"resolved bandwidths must lie in (0, data diameter = {diameter:.6g}]"
         )
-    return hs
+    return outcomes

@@ -150,47 +150,34 @@ def run_estimate(cfg: RunConfig) -> int:
     sample = Sample.from_data(y, x, rule)
     grid = make_grid(polyline, int(cfg.grid_size))
     p, kernel, alpha = int(cfg.p), cfg.kernel, float(cfg.alpha)
-    rule_obj = _bandwidth_rule(cfg)
-
-    hs = np.full(grid.count, np.nan)
-    errors: dict[int, str] = {}
-    if isinstance(rule_obj, (bw.Fixed, bw.RuleOfThumb)):
-        hs[:] = bw.resolve_bandwidths(rule_obj, sample, polyline, rule, grid, kernel, p)
-    else:
-        rot_h = bw.rot_bandwidth(sample, polyline, float(cfg.c0), float(cfg.bw_exponent))
-        for k, pt in enumerate(grid.points):
-            try:
-                h_mse = bw.mse_pilot_bandwidth(sample, pt, rule, kernel, p)
-                if isinstance(rule_obj, bw.KinkAdaptive):
-                    h_mse = bw.kink_adaptive_bandwidth(pt, polyline, h_mse, rot_h)
-                hs[k] = h_mse
-            except BddistError as err:
-                errors[k] = _error_code(err)
+    outcomes = bw.resolve_bandwidths(_bandwidth_rule(cfg), sample, polyline, rule,
+                                     grid, kernel, p)
 
     fits: dict[int, PointFit] = {}
-    for k, pt in enumerate(grid.points):
-        if k in errors:
+    errors: dict[int, str] = {}
+    for k, h in enumerate(outcomes):
+        if isinstance(h, BddistError):
+            errors[k] = _error_code(h)
             continue
         try:
-            fits[k] = fit_point(sample, pt, rule, kernel, hs[k], p)
+            fits[k] = fit_point(sample, grid.points[k], rule, kernel, h, p)
         except BddistError as err:
             errors[k] = _error_code(err)
 
-    band = None
+    se_by_key, band_by_key = {}, {}
     if fits:
         keys = sorted(fits)
-        surface = build_surface([fits[k] for k in keys], len(sample),
+        surface = build_surface([fits[k] for k in keys],
                                 grid=grid if len(keys) == grid.count else None)
         band = uniform_band([fits[k] for k in keys], surface, alpha,
                             int(cfg.band_draws), int(cfg.seed))
+        se_by_key = dict(zip(keys, surface.se))
         band_by_key = dict(zip(keys, band.intervals))
         if cfg.dump_cov:
             write_csv(cfg.dump_cov,
                       [f"x{j + 1}" for j in range(len(keys))],
                       [[format_number(v, cfg.precision) for v in row]
                        for row in surface.xi])
-    else:
-        band_by_key = {}
 
     header = ["point_id", "b1", "b2", "h", "n_eff_0", "n_eff_1", "theta_hat",
               "se", "ci_lower", "ci_upper", "band_lower", "band_upper", "error"]
@@ -202,15 +189,15 @@ def run_estimate(cfg: RunConfig) -> int:
             rows.append([str(k + 1), format_number(b1, prec), format_number(b2, prec),
                          "", "", "", "", "", "", "", "", "", errors[k]])
             continue
-        fit = fits[k]
-        ci = pointwise_ci(fit, alpha)
+        fit, se = fits[k], se_by_key[k]
+        ci = pointwise_ci(fit, se, alpha)
         bi = band_by_key[k]
         rows.append([
             str(k + 1),
             format_number(b1, prec), format_number(b2, prec),
             format_number(fit.h, prec),
             str(fit.fit0.n_eff), str(fit.fit1.n_eff),
-            format_number(fit.theta_hat, prec), format_number(fit.se, prec),
+            format_number(fit.theta_hat, prec), format_number(se, prec),
             format_number(ci.lower, prec), format_number(ci.upper, prec),
             format_number(bi.lower, prec), format_number(bi.upper, prec),
             "",

@@ -1,12 +1,10 @@
 """Cross-point residual covariance of the effect estimates along the grid.
 
-The covariance between estimates at two boundary points is the two-sided sum
-of sandwich forms: each side contributes
-(nh^2)^{-1} e1' Psi(x1)^{-1} Upsilon(x1, x2) Psi(x2)^{-1} e1, where Upsilon
-pairs kernel-weighted basis residual products of observations weighted at
-both points.  Equivalently, each side's contribution is the empirical
-covariance of per-observation influence values, which is how the full grid
-surface is assembled in one pass.
+Each side contributes the empirical covariance of per-observation influence
+values of its intercept estimate, and the surface over the whole grid is
+assembled from them in one pass.  This equals the two-sided sum of sandwich
+forms (nh^2)^{-1} e1' Psi(x1)^{-1} Upsilon(x1, x2) Psi(x2)^{-1} e1; the
+sandwich form is kept in the test suite as the reference oracle.
 """
 
 from __future__ import annotations
@@ -18,55 +16,6 @@ import numpy as np
 from .errors import DegenerateVarianceError, InvalidInputError, InvalidPairingError
 from .geometry import EvalGrid
 from .locpoly import PointFit, scaled_basis
-
-
-def _check_pairing(fit_a: PointFit, fit_b: PointFit, require_same_h: bool = True):
-    if len(fit_a.column) != len(fit_b.column):
-        raise InvalidPairingError("point fits built from different sample sizes")
-    if fit_a.p != fit_b.p or fit_a.kernel != fit_b.kernel:
-        raise InvalidPairingError("point fits use different order or kernel")
-    if require_same_h and fit_a.h != fit_b.h:
-        raise InvalidPairingError(
-            f"point fits use different bandwidths ({fit_a.h} vs {fit_b.h})"
-        )
-
-
-def upsilon(fit_a: PointFit, fit_b: PointFit, side: int) -> np.ndarray:
-    """Residual product moment matrix between two evaluation points, one side.
-
-    Entry (j, k) is h^2 n^{-1} sum_i (D_i(x1)/h)^j (D_i(x2)/h)^k K_h(D_i(x1))
-    K_h(D_i(x2)) e_i(x1) e_i(x2) over observations on the given side at both
-    points, with e_i the side fit residuals.  The side indicator is applied
-    at both evaluation points; for boundary points the two coincide.
-    """
-    _check_pairing(fit_a, fit_b)
-    h = fit_a.h
-    n = len(fit_a.column)
-    sa, sb = fit_a.side(side), fit_b.side(side)
-    both = (sa.weights > 0.0) & (sb.weights > 0.0)
-    idx = np.flatnonzero(both)
-    p = fit_a.p
-    if idx.size == 0:
-        return np.zeros((p + 1, p + 1))
-    Ba = scaled_basis(fit_a.column.values[idx] / h, p)
-    Bb = scaled_basis(fit_b.column.values[idx] / h, p)
-    wa = sa.weights[idx] * sa.residuals[idx]
-    wb = sb.weights[idx] * sb.residuals[idx]
-    return h * h * (Ba * wa[:, None]).T @ (Bb * wb[:, None]) / n
-
-
-def xi_pair(fit_a: PointFit, fit_b: PointFit) -> float:
-    """Covariance estimate between theta_hat at two points: both sides summed."""
-    _check_pairing(fit_a, fit_b)
-    n = len(fit_a.column)
-    h = fit_a.h
-    total = 0.0
-    for side in (0, 1):
-        ups = upsilon(fit_a, fit_b, side)
-        va = fit_a.side(side).gram.inv_e1()
-        vb = fit_b.side(side).gram.inv_e1()
-        total += float(va @ ups @ vb) / (n * h * h)
-    return total
 
 
 def influence_values(fit: PointFit, side: int) -> np.ndarray:
@@ -102,6 +51,11 @@ class CovarianceSurface:
     regularization_applied: bool
     eig_floor: float
 
+    @property
+    def se(self) -> np.ndarray:
+        """Standard errors of the effect estimates, sqrt(diag(xi))."""
+        return np.sqrt(np.diag(self.xi))
+
 
 def regularize_correlation(corr: np.ndarray, eig_floor: float = 1e-10):
     """Clip eigenvalues at eig_floor and renormalize the diagonal to one.
@@ -123,18 +77,20 @@ def regularize_correlation(corr: np.ndarray, eig_floor: float = 1e-10):
     return reg, factor, applied
 
 
-def build_surface(fits: list, n: int, eig_floor: float = 1e-10,
+def build_surface(fits: list, *, eig_floor: float = 1e-10,
                   grid: EvalGrid | None = None) -> CovarianceSurface:
-    """Assemble the covariance surface over all grid fits and fill xi_hat.
+    """Assemble the covariance surface over all grid fits.
 
-    All fits must have succeeded.  With a shared bandwidth the entries equal
-    xi_pair exactly; with per-point bandwidths the influence-value form is
-    the natural generalization and is used throughout.
+    All fits must have succeeded on the same sample; its size n is read from
+    the fits' distance columns.  Per-point bandwidths are allowed.
     """
     if not fits:
         raise InvalidInputError("no fits supplied")
     if any(not isinstance(f, PointFit) for f in fits):
         raise InvalidInputError("build_surface requires successful fits only")
+    n = len(fits[0].column)
+    if any(len(f.column) != n for f in fits):
+        raise InvalidPairingError("point fits built from different sample sizes")
     M = len(fits)
     xi = np.zeros((M, M))
     for side in (0, 1):
@@ -150,6 +106,4 @@ def build_surface(fits: list, n: int, eig_floor: float = 1e-10,
         )
     corr = xi / np.sqrt(diag[:, None] * diag[None, :])
     corr, factor, applied = regularize_correlation(corr, eig_floor)
-    for k, f in enumerate(fits):
-        f.xi_hat = float(xi[k, k])
     return CovarianceSurface(grid, xi, corr, factor, applied, eig_floor)

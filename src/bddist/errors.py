@@ -21,10 +21,6 @@ class InvalidPairingError(InvalidInputError):
     """Two point fits do not share the sample, bandwidth, kernel, or order."""
 
 
-class MetricProbeError(InvalidInputError):
-    """A user-supplied metric failed the symmetry/identity/triangle probe."""
-
-
 class InsufficientDataError(BddistError):
     """Too few positively weighted observations on one side to fit."""
 

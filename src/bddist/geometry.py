@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, MetricProbeError
+from .errors import InvalidInputError
 
 # Points within this distance of the boundary are assigned to treatment.
 BOUNDARY_TOL = 1e-12
@@ -42,77 +42,13 @@ def _as_points(P) -> np.ndarray:
     return arr
 
 
-# ---------------------------------------------------------------------------
-# Distance metrics
-# ---------------------------------------------------------------------------
-
 def _euclidean(P, q):
-    P = np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float)
     return np.hypot(P[..., 0] - q[0], P[..., 1] - q[1])
 
 
-_METRICS = {"euclidean": _euclidean}
-
-
-def metric_function(metric):
-    """Resolve a metric name to its vectorized callable ``f(P, q) -> d``."""
-    if callable(metric):
-        return metric
-    try:
-        return _METRICS[metric]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown metric {metric!r}; registered: {sorted(_METRICS)}"
-        ) from None
-
-
-def register_metric(name, fn, probe_points=None, seed=0):
-    """Register a custom distance metric after a random correctness probe.
-
-    The probe samples point triples and checks identity (d(x, x) = 0),
-    symmetry, nonnegativity, and the triangle inequality.  Metrics that fail
-    any sampled check are rejected with :class:`MetricProbeError`.
-
-    Parameters
-    ----------
-    name : str
-        Registry key used in ``metric=`` arguments.
-    fn : callable
-        Vectorized metric ``fn(P, q)`` mapping an (n, 2) array and a (2,)
-        point to an (n,) array of distances.
-    probe_points : array, optional
-        Points to probe with; defaults to 32 random points in [-10, 10]^2.
-    seed : int
-        Seed for the default probe cloud.
-    """
-    if probe_points is None:
-        rng = np.random.default_rng(seed)
-        probe_points = rng.uniform(-10.0, 10.0, size=(32, 2))
-    pts = _as_points(probe_points)
-    m = len(pts)
-    dmat = np.empty((m, m))
-    for j in range(m):
-        dmat[:, j] = np.asarray(fn(pts, pts[j]), dtype=float)
-    if not np.all(np.isfinite(dmat)) or np.any(dmat < 0):
-        raise MetricProbeError(f"metric {name!r} produced negative or non-finite distances")
-    if np.any(np.abs(np.diag(dmat)) > 1e-12):
-        raise MetricProbeError(f"metric {name!r} fails identity: d(x, x) != 0")
-    if np.max(np.abs(dmat - dmat.T)) > 1e-10 * (1.0 + dmat.max()):
-        raise MetricProbeError(f"metric {name!r} fails symmetry")
-    # Triangle inequality on all sampled triples, with a small float allowance.
-    slack = 1e-10 * (1.0 + dmat.max())
-    if np.any(dmat[:, None, :] + dmat[None, :, :] < dmat[:, :, None] - slack):
-        raise MetricProbeError(f"metric {name!r} fails the triangle inequality")
-    _METRICS[name] = fn
-
-
-def distance(a, b, metric="euclidean") -> float:
-    """Distance between two points under the given metric (default Euclidean)."""
-    a = as_point(a)
-    b = as_point(b)
-    fn = metric_function(metric)
-    return float(fn(a[None, :], b)[0])
+def distance(a, b) -> float:
+    """Euclidean distance between two points."""
+    return float(_euclidean(as_point(a)[None, :], as_point(b))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +269,17 @@ class PolygonRule:
 AssignmentRule = QuadrantRule | PolygonRule
 
 
-def signed_distances(P, eval_pt, rule, metric="euclidean") -> np.ndarray:
+def signed_distances(P, eval_pt, rule) -> np.ndarray:
     """Signed distances from points ``P`` to ``eval_pt``: + treated, - control."""
     P = _as_points(P)
-    q = as_point(eval_pt)
-    d = np.asarray(metric_function(metric)(P, q), dtype=float)
+    d = _euclidean(P, as_point(eval_pt))
     sign = np.where(rule.contains(P), 1.0, -1.0)
     return sign * d
 
 
-def signed_distance(x_i, eval_pt, rule, metric="euclidean") -> float:
+def signed_distance(x_i, eval_pt, rule) -> float:
     """Scalar signed distance score of one observation at one boundary point."""
-    return float(signed_distances(as_point(x_i)[None, :], eval_pt, rule, metric)[0])
+    return float(signed_distances(as_point(x_i)[None, :], eval_pt, rule)[0])
 
 
 # ---------------------------------------------------------------------------

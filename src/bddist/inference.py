@@ -50,8 +50,7 @@ class IntervalResult:
     upper: float
 
 
-def _interval(fit: PointFit, alpha: float, q: float) -> IntervalResult:
-    se = fit.se
+def _interval(fit: PointFit, se: float, alpha: float, q: float) -> IntervalResult:
     return IntervalResult(
         eval_pt=fit.eval_pt,
         theta_hat=fit.theta_hat,
@@ -63,9 +62,15 @@ def _interval(fit: PointFit, alpha: float, q: float) -> IntervalResult:
     )
 
 
-def pointwise_ci(fit: PointFit, alpha: float = 0.05) -> IntervalResult:
-    """Normal-quantile confidence interval at one evaluation point."""
-    return _interval(fit, alpha, normal_quantile(alpha))
+def pointwise_ci(fit: PointFit, se: float, alpha: float = 0.05) -> IntervalResult:
+    """Normal-quantile confidence interval at one evaluation point.
+
+    ``se`` is the point's standard error, e.g. ``surface.se[k]``.
+    """
+    se = float(se)
+    if not 0.0 < se < math.inf:
+        raise InvalidInputError(f"standard error must be positive and finite, got {se}")
+    return _interval(fit, se, alpha, normal_quantile(alpha))
 
 
 def uniform_quantile(corr: np.ndarray, alpha: float, num_draws: int = DEFAULT_NUM_DRAWS,
@@ -153,5 +158,6 @@ def uniform_band(fits: list, surface: CovarianceSurface, alpha: float = 0.05,
                     stacklevel=2,
                 )
     q = uniform_quantile(surface.corr, alpha, num_draws, seed, factor=surface.factor)
-    intervals = [_interval(fit, alpha, q) for fit in fits]
+    intervals = [_interval(fit, float(se), alpha, q)
+                 for fit, se in zip(fits, surface.se)]
     return BandResult(surface.grid, intervals, q, alpha, num_draws, seed)

@@ -87,10 +87,10 @@ class DistanceColumn:
         return self.treated if side == 1 else ~self.treated
 
 
-def build_distance_column(sample, eval_pt, rule, metric="euclidean") -> DistanceColumn:
+def build_distance_column(sample, eval_pt, rule) -> DistanceColumn:
     """Signed distance column of a sample at one boundary evaluation point."""
     x = np.asarray(sample.x, dtype=float)
     if len(x) == 0:
         raise InvalidInputError("sample is empty")
-    values = signed_distances(x, eval_pt, rule, metric)
+    values = signed_distances(x, eval_pt, rule)
     return DistanceColumn(as_point(eval_pt), values, values >= 0.0)

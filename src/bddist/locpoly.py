@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    BddistError,
     InsufficientDataError,
     InvalidBandwidthError,
     InvalidInputError,
@@ -133,12 +134,11 @@ def fit_side(y, column: DistanceColumn, side: int, kernel: str, h: float, p: int
     return SideFit(side, gamma, int(idx.size), g, w, residuals)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointFit:
     """Both one-sided fits at one evaluation point plus the effect estimate.
 
-    ``xi_hat`` (the variance of theta_hat) starts unset and is filled by the
-    covariance module.
+    Standard errors belong to the covariance surface built over the fits.
     """
 
     eval_pt: np.ndarray
@@ -148,29 +148,26 @@ class PointFit:
     column: DistanceColumn
     fit0: SideFit
     fit1: SideFit
-    xi_hat: float | None = field(default=None)
 
     @property
     def theta_hat(self) -> float:
         return self.fit1.intercept - self.fit0.intercept
-
-    @property
-    def se(self) -> float:
-        if self.xi_hat is None or self.xi_hat <= 0.0:
-            raise InvalidInputError("xi_hat is unset or nonpositive; run the covariance step")
-        return float(np.sqrt(self.xi_hat))
 
     def side(self, t: int) -> SideFit:
         return self.fit1 if t == 1 else self.fit0
 
 
 def fit_point(sample, eval_pt, rule, kernel: str, h: float, p: int,
-              metric: str = "euclidean", column: DistanceColumn | None = None) -> PointFit:
-    """Fit both sides at one boundary point and form the effect estimate."""
+              column: DistanceColumn | None = None) -> PointFit:
+    """Fit both sides at one boundary point and form the effect estimate.
+
+    A precomputed ``column`` for the same point is used as is; ``rule`` is
+    read only to build the column when none is given.
+    """
     if not np.isfinite(h) or h <= 0.0:
         raise InvalidBandwidthError(f"bandwidth must be positive, got {h}")
     if column is None:
-        column = build_distance_column(sample, eval_pt, rule, metric)
+        column = build_distance_column(sample, eval_pt, rule)
     elif not np.array_equal(column.eval_pt, as_point(eval_pt)):
         raise InvalidInputError("precomputed column belongs to a different point")
     fit0 = fit_side(sample.y, column, 0, kernel, h, p)
@@ -189,19 +186,22 @@ def worker_count() -> int:
         raise InvalidInputError(f"BDD_THREADS must be an integer, got {raw!r}") from None
 
 
-def fit_grid(sample, grid, rule, kernel: str, bandwidths, p: int,
-             metric: str = "euclidean") -> list:
+def fit_grid(sample, grid, rule, kernel: str, bandwidths, p: int) -> list:
     """Fit every grid point; returns a list aligned with the grid.
 
-    ``bandwidths`` is a scalar or a per-point array.  Entries of the result
-    are PointFit objects, or the raised error for points whose fit failed.
-    Fits are independent, so they run on a thread pool when BDD_THREADS > 1.
+    ``bandwidths`` is a scalar or one entry per point, such as the outcomes
+    of ``resolve_bandwidths``.  Entries of the result are PointFit objects,
+    or the raised error for points whose fit failed; an error entry in
+    ``bandwidths`` is passed through as that point's result.  Fits are
+    independent, so they run on a thread pool when BDD_THREADS > 1.
     """
-    hs = np.broadcast_to(np.asarray(bandwidths, dtype=float), (grid.count,))
+    hs = np.broadcast_to(np.asarray(bandwidths, dtype=object), (grid.count,))
 
     def one(k):
+        if isinstance(hs[k], BddistError):
+            return hs[k]
         try:
-            return fit_point(sample, grid.points[k], rule, kernel, hs[k], p, metric)
+            return fit_point(sample, grid.points[k], rule, kernel, hs[k], p)
         except (InsufficientDataError, SingularGramError, InvalidBandwidthError) as err:
             return err
 

@@ -222,8 +222,7 @@ class McReport:
 def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = None,
                     p: int = 1, kernel: str = DEFAULT_KERNEL,
                     bw_rule=None, alpha: float = 0.05,
-                    band_draws: int = 10000, seed: int = 0,
-                    metric: str = "euclidean") -> McReport:
+                    band_draws: int = 10000, seed: int = 0) -> McReport:
     """Repeatedly draw, fit the grid, and tabulate coverage.
 
     Replications whose bandwidth selection or fits fail anywhere on the grid
@@ -253,17 +252,17 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
         sample = draw_sample(spec, n, draw_seq)
         try:
             hs = resolve_bandwidths(bw_rule, sample, spec.boundary, spec.assignment,
-                                    grid, kernel, p, metric)
-            fits = fit_grid(sample, grid, spec.assignment, kernel, hs, p, metric)
+                                    grid, kernel, p)
+            fits = fit_grid(sample, grid, spec.assignment, kernel, hs, p)
             failed = [f for f in fits if not isinstance(f, PointFit)]
             if failed:
                 raise failed[0]
-            surface = build_surface(fits, n, grid=grid)
+            surface = build_surface(fits, grid=grid)
             band = uniform_band(fits, surface, alpha, band_draws, band_seq)
         except BddistError:
             continue
         theta[r] = [f.theta_hat for f in fits]
-        se[r] = [f.se for f in fits]
+        se[r] = surface.se
         h_used[r] = hs
         band_q[r] = band.quantile
         ok[r] = True

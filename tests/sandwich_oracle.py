@@ -1,0 +1,64 @@
+"""Sandwich form of the cross-point covariance: the tests' reference oracle.
+
+The covariance between estimates at two boundary points is the two-sided sum
+of sandwich forms: each side contributes
+(nh^2)^{-1} e1' Psi(x1)^{-1} Upsilon(x1, x2) Psi(x2)^{-1} e1, where Upsilon
+pairs kernel-weighted basis residual products of observations weighted at
+both points.  ``bddist.covariance`` computes the same numbers from
+influence values; these functions check it.
+"""
+
+import numpy as np
+
+from bddist.errors import InvalidPairingError
+from bddist.locpoly import PointFit, scaled_basis
+
+
+def _check_pairing(fit_a: PointFit, fit_b: PointFit, require_same_h: bool = True):
+    if len(fit_a.column) != len(fit_b.column):
+        raise InvalidPairingError("point fits built from different sample sizes")
+    if fit_a.p != fit_b.p or fit_a.kernel != fit_b.kernel:
+        raise InvalidPairingError("point fits use different order or kernel")
+    if require_same_h and fit_a.h != fit_b.h:
+        raise InvalidPairingError(
+            f"point fits use different bandwidths ({fit_a.h} vs {fit_b.h})"
+        )
+
+
+def upsilon(fit_a: PointFit, fit_b: PointFit, side: int) -> np.ndarray:
+    """Residual product moment matrix between two evaluation points, one side.
+
+    Entry (j, k) is h^2 n^{-1} sum_i (D_i(x1)/h)^j (D_i(x2)/h)^k K_h(D_i(x1))
+    K_h(D_i(x2)) e_i(x1) e_i(x2) over observations on the given side at both
+    points, with e_i the side fit residuals.  The side indicator is applied
+    at both evaluation points; for boundary points the two coincide.
+    """
+    _check_pairing(fit_a, fit_b)
+    h = fit_a.h
+    n = len(fit_a.column)
+    sa, sb = fit_a.side(side), fit_b.side(side)
+    both = (sa.weights > 0.0) & (sb.weights > 0.0)
+    idx = np.flatnonzero(both)
+    p = fit_a.p
+    if idx.size == 0:
+        return np.zeros((p + 1, p + 1))
+    Ba = scaled_basis(fit_a.column.values[idx] / h, p)
+    Bb = scaled_basis(fit_b.column.values[idx] / h, p)
+    wa = sa.weights[idx] * sa.residuals[idx]
+    wb = sb.weights[idx] * sb.residuals[idx]
+    return h * h * (Ba * wa[:, None]).T @ (Bb * wb[:, None]) / n
+
+
+def xi_pair(fit_a: PointFit, fit_b: PointFit) -> float:
+    """Covariance estimate between theta_hat at two points: both sides summed."""
+    _check_pairing(fit_a, fit_b)
+    n = len(fit_a.column)
+    h = fit_a.h
+    total = 0.0
+    for side in (0, 1):
+        ups = upsilon(fit_a, fit_b, side)
+        va = fit_a.side(side).gram.inv_e1()
+        vb = fit_b.side(side).gram.inv_e1()
+        total += float(va @ ups @ vb) / (n * h * h)
+    return total
+

@@ -21,6 +21,7 @@ from bddist.bandwidth import (
 from bddist.data import Sample
 from bddist.errors import BandwidthSelectionError, InvalidInputError
 from bddist.geometry import BoundaryPolyline, QuadrantRule, make_grid
+from bddist.kernels import build_distance_column
 
 RULE = QuadrantRule()
 
@@ -31,6 +32,12 @@ def square_sample(rng, n=2500, mean_fn=None, noise=1.0):
     if mean_fn is not None:
         y = y + mean_fn(x)
     return Sample.from_data(y, x, RULE)
+
+
+def origin_pilot(sample, num):
+    """Distance column at the origin and its candidate bandwidth grid."""
+    column = build_distance_column(sample, (0.0, 0.0), RULE)
+    return column, candidate_bandwidths(column, data_diameter(sample.x), num)
 
 
 class TestRuleOfThumb:
@@ -112,9 +119,8 @@ class TestMsePilot:
         # decreasing in h for the uniform kernel, so the largest candidate wins.
         rng = np.random.default_rng(2)
         sample = square_sample(rng, n=2500, noise=1.0)
-        H = candidate_bandwidths(sample, (0.0, 0.0), RULE, num=8)
-        h = mse_pilot_bandwidth(sample, (0.0, 0.0), RULE, "uniform", 1,
-                                candidates=H)
+        col, H = origin_pilot(sample, 8)
+        h = mse_pilot_bandwidth(sample, col, "uniform", 1, H)
         assert h == H[-1]
 
     def test_strong_curvature_zero_noise_selects_smallest(self):
@@ -125,9 +131,8 @@ class TestMsePilot:
             return 25.0 * d * d * np.where(RULE.contains(x), 1.0, -1.0)
 
         sample = square_sample(rng, n=4000, mean_fn=curved, noise=0.0)
-        H = candidate_bandwidths(sample, (0.0, 0.0), RULE, num=8)
-        h = mse_pilot_bandwidth(sample, (0.0, 0.0), RULE, "uniform", 1,
-                                candidates=H)
+        col, H = origin_pilot(sample, 8)
+        h = mse_pilot_bandwidth(sample, col, "uniform", 1, H)
         assert h == H[0]
 
     def test_matches_fine_grid_scan(self):
@@ -138,15 +143,13 @@ class TestMsePilot:
             return 1.5 * d * d * np.where(RULE.contains(x), 1.0, 0.0)
 
         sample = square_sample(rng, n=3000, mean_fn=gentle, noise=0.4)
-        H = candidate_bandwidths(sample, (0.0, 0.0), RULE, num=10)
-        h = mse_pilot_bandwidth(sample, (0.0, 0.0), RULE, "uniform", 1,
-                                candidates=H)
+        col, H = origin_pilot(sample, 10)
+        h = mse_pilot_bandwidth(sample, col, "uniform", 1, H)
         fine = np.geomspace(H[0], H[-1], 100)
         objs = []
         for hf in fine:
             try:
-                objs.append(mse_pilot_objective(sample, (0.0, 0.0), RULE,
-                                                "uniform", 1, float(hf)))
+                objs.append(mse_pilot_objective(sample, col, "uniform", 1, float(hf)))
             except Exception:
                 objs.append(np.inf)
         best_fine = fine[int(np.argmin(objs))]
@@ -161,25 +164,23 @@ class TestMsePilot:
             return d * d * np.where(RULE.contains(x), 1.0, 0.0)
 
         sample = square_sample(rng, n=2000, mean_fn=gentle, noise=0.5)
-        H = candidate_bandwidths(sample, (0.0, 0.0), RULE, num=8)
-        h1 = mse_pilot_bandwidth(sample, (0.0, 0.0), RULE, "triangular", 1,
-                                 candidates=H)
+        col, H = origin_pilot(sample, 8)
+        h1 = mse_pilot_bandwidth(sample, col, "triangular", 1, H)
         scaled = Sample(3.5 * sample.y - 2.0, sample.x, sample.treated)
-        h2 = mse_pilot_bandwidth(scaled, (0.0, 0.0), RULE, "triangular", 1,
-                                 candidates=H)
+        h2 = mse_pilot_bandwidth(scaled, col, "triangular", 1, H)
         assert h1 == h2
 
     def test_all_candidates_failing(self):
         rng = np.random.default_rng(6)
         sample = square_sample(rng, n=50)
         with pytest.raises(BandwidthSelectionError):
-            mse_pilot_bandwidth(sample, (0.0, 0.0), RULE, "uniform", 1,
-                                candidates=np.full(6, 1e-9))
+            mse_pilot_bandwidth(sample, build_distance_column(sample, (0.0, 0.0), RULE),
+                                "uniform", 1, np.full(6, 1e-9))
 
     def test_candidate_grid_shape(self):
         rng = np.random.default_rng(7)
         sample = square_sample(rng, n=500)
-        H = candidate_bandwidths(sample, (0.0, 0.0), RULE, num=15)
+        _, H = origin_pilot(sample, 15)
         assert len(H) == 15
         assert np.all(np.diff(np.log(H)) > 0)
         assert_allclose(H[-1], 0.5 * data_diameter(sample.x))
@@ -217,7 +218,20 @@ class TestResolve:
                                     RULE, grid, "uniform", 1)
         hs_kink = resolve_bandwidths(KinkAdaptive(num_candidates=6), sample,
                                      self.PL, RULE, grid, "uniform", 1)
-        assert np.all(hs_kink <= hs_mse + 1e-12)
+        assert np.all(np.asarray(hs_kink) <= np.asarray(hs_mse) + 1e-12)
+
+    def test_pilot_failure_stays_at_its_point(self):
+        # Control data only left of the vertical segment: no candidate at
+        # (1, 0) reaches a control observation, the other points resolve.
+        rng = np.random.default_rng(11)
+        x = np.vstack([rng.uniform(0.0, 1.0, (300, 2)),
+                       np.column_stack([rng.uniform(-0.3, 0.0, 300),
+                                        rng.uniform(0.0, 1.0, 300)])])
+        sample = Sample.from_data(rng.normal(size=600), x, RULE)
+        grid = make_grid(self.PL, 3)
+        for rule in (MsePilot(), KinkAdaptive(c0=8.0)):
+            hs = resolve_bandwidths(rule, sample, self.PL, RULE, grid, "triangular", 1)
+            assert [type(h) for h in hs] == [float, float, BandwidthSelectionError]
 
 
 class TestDataDiameter:

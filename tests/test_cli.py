@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from bddist.bandwidth import KinkAdaptive, MsePilot, resolve_bandwidths
 from bddist.cli import main, read_dataset
+from bddist.data import Sample
 from bddist.errors import DataParseError, DataSchemaError
-from bddist.geometry import QuadrantRule
+from bddist.geometry import QuadrantRule, load_boundary, make_grid
 
 BOUNDARY = {
     "vertices": [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]],
@@ -20,9 +22,11 @@ def boundary_file(tmp_path):
     return str(path)
 
 
-def write_dataset(tmp_path, n=800, seed=0, name="data.csv"):
+def write_dataset(tmp_path, n=800, seed=0, name="data.csv", x=None):
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-1, 1, (n, 2))
+    if x is None:
+        x = rng.uniform(-1, 1, (n, 2))
+    n = len(x)
     treated = QuadrantRule().contains(x)
     y = np.where(treated, 1.0, 0.2) + 0.3 * rng.normal(size=n)
     path = tmp_path / name
@@ -31,6 +35,15 @@ def write_dataset(tmp_path, n=800, seed=0, name="data.csv"):
         lines.append(f"{float(y[i])!r},{float(x[i, 0])!r},{float(x[i, 1])!r},junk")
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def read_rows(path):
+    lines = path.read_text().strip().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+PILOT_RULES = {"mse": MsePilot(), "kink": KinkAdaptive(c0=8.0, exponent=0.25)}
 
 
 class TestReadDataset:
@@ -109,6 +122,40 @@ class TestEstimate:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert rows[0][-1] == "insufficient-data"
         assert rows[1][-1] == ""
+
+    @pytest.mark.parametrize("name", sorted(PILOT_RULES))
+    def test_pilot_rule_bandwidths_match_library(self, tmp_path, boundary_file, name):
+        data = write_dataset(tmp_path)
+        out = tmp_path / "out.csv"
+        code = main(["estimate", "--data", data, "--boundary", boundary_file,
+                     "--grid-size", "3", "--bw-rule", name, "--c0", "8",
+                     "--precision", "full", "--out", str(out)])
+        assert code == 0
+        polyline, rule = load_boundary(boundary_file)
+        y, x = read_dataset(data)
+        expected = resolve_bandwidths(PILOT_RULES[name], Sample.from_data(y, x, rule),
+                                      polyline, rule, make_grid(polyline, 3),
+                                      "triangular", 1)
+        assert [float(row["h"]) for row in read_rows(out)] == [float(h) for h in expected]
+
+    @pytest.mark.parametrize("name", sorted(PILOT_RULES))
+    def test_pilot_rule_empty_point_fails_alone(self, tmp_path, boundary_file, name):
+        # Control data only left of the vertical boundary segment: no
+        # candidate bandwidth at (1, 0) reaches a control observation.
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.uniform(0.0, 1.0, (300, 2)),
+                       np.column_stack([rng.uniform(-0.3, 0.0, 300),
+                                        rng.uniform(0.0, 1.0, 300)])])
+        data = write_dataset(tmp_path, x=x)
+        out = tmp_path / "out.csv"
+        code = main(["estimate", "--data", data, "--boundary", boundary_file,
+                     "--grid-size", "3", "--bw-rule", name, "--c0", "8",
+                     "--out", str(out)])
+        assert code == 2
+        rows = read_rows(out)
+        assert [row["error"] for row in rows] == ["", "", "bandwidth-selection-failed"]
+        for row in rows[:2]:
+            assert all(row[col] != "" for col in ("h", "theta_hat", "se", "band_lower"))
 
     def test_dump_cov(self, tmp_path, boundary_file):
         data = write_dataset(tmp_path)

@@ -2,18 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bddist.covariance import (
-    build_surface,
-    influence_values,
-    regularize_correlation,
-    upsilon,
-    xi_pair,
-)
+from bddist.covariance import build_surface, influence_values, regularize_correlation
 from bddist.data import Sample
 from bddist.errors import DegenerateVarianceError, InvalidPairingError
 from bddist.geometry import QuadrantRule
 from bddist.kernels import DistanceColumn
 from bddist.locpoly import PointFit, fit_point, fit_side, scaled_basis
+from sandwich_oracle import upsilon, xi_pair
 
 RULE = QuadrantRule()
 
@@ -126,17 +121,17 @@ class TestBuildSurface:
         rng = np.random.default_rng(5)
         sample = random_two_sided_sample(rng)
         fit = fit_point(sample, (0.0, 0.0), RULE, "uniform", 0.9, 1)
-        surface = build_surface([fit], len(sample))
+        surface = build_surface([fit])
         assert_allclose(surface.corr, [[1.0]])
         assert surface.xi[0, 0] > 0
-        assert fit.xi_hat == surface.xi[0, 0]
+        assert surface.se[0] == np.sqrt(surface.xi[0, 0])
 
     def test_matches_xi_pair(self):
         rng = np.random.default_rng(6)
         sample = random_two_sided_sample(rng, n=220)
         pts = [(0.0, 0.0), (0.25, 0.0), (0.0, 0.55)]
         fits = [fit_point(sample, b, RULE, "triangular", 0.8, 1) for b in pts]
-        surface = build_surface(fits, len(sample))
+        surface = build_surface(fits)
         for i in range(3):
             for j in range(3):
                 assert_allclose(surface.xi[i, j], xi_pair(fits[i], fits[j]),
@@ -147,7 +142,7 @@ class TestBuildSurface:
         sample = random_two_sided_sample(rng)
         fit = fit_point(sample, (0.0, 0.0), RULE, "uniform", 0.9, 1)
         fit2 = fit_point(sample, (0.0, 0.0), RULE, "uniform", 0.9, 1)
-        surface = build_surface([fit, fit2], len(sample))
+        surface = build_surface([fit, fit2])
         assert_allclose(surface.corr[0, 1], 1.0, atol=1e-8)
         assert surface.regularization_applied  # rank-1 correlation was clipped
 
@@ -156,7 +151,7 @@ class TestBuildSurface:
         sample = random_two_sided_sample(rng, n=300)
         fa = fit_point(sample, (0.0, 0.0), RULE, "uniform", 0.3, 0)
         fb = fit_point(sample, (0.95, 0.0), RULE, "uniform", 0.3, 0)
-        surface = build_surface([fa, fb], len(sample))
+        surface = build_surface([fa, fb])
         assert_allclose(surface.corr[0, 1], 0.0, atol=1e-12)
 
     def test_zero_residuals_degenerate(self):
@@ -165,14 +160,23 @@ class TestBuildSurface:
         sample = Sample.from_data(np.ones(6), x, RULE)
         fit = fit_point(sample, (0.0, 0.0), RULE, "uniform", 1.0, 0)
         with pytest.raises(DegenerateVarianceError):
-            build_surface([fit], len(sample))
+            build_surface([fit])
+
+    def test_mixed_sample_sizes_rejected(self):
+        rng = np.random.default_rng(11)
+        fa = fit_point(random_two_sided_sample(rng, n=100), (0.0, 0.0), RULE,
+                       "uniform", 0.9, 1)
+        fb = fit_point(random_two_sided_sample(rng, n=200), (0.0, 0.0), RULE,
+                       "uniform", 0.9, 1)
+        with pytest.raises(InvalidPairingError):
+            build_surface([fa, fb])
 
     def test_factor_reproduces_corr(self):
         rng = np.random.default_rng(9)
         sample = random_two_sided_sample(rng, n=260)
         pts = [(0.0, 0.0), (0.15, 0.0), (0.3, 0.0), (0.0, 0.2)]
         fits = [fit_point(sample, b, RULE, "triangular", 0.7, 1) for b in pts]
-        surface = build_surface(fits, len(sample))
+        surface = build_surface(fits)
         assert_allclose(surface.factor @ surface.factor.T, surface.corr, atol=1e-12)
         assert_allclose(np.diag(surface.corr), 1.0)
         assert np.all(np.abs(surface.corr) <= 1.0 + 1e-8)

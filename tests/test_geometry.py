@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bddist.errors import InvalidInputError, MetricProbeError
+from bddist.errors import InvalidInputError
 from bddist.geometry import (
     BoundaryPolyline,
     PolygonRule,
@@ -13,7 +13,6 @@ from bddist.geometry import (
     distance,
     load_boundary,
     make_grid,
-    register_metric,
     signed_distance,
     signed_distances,
 )
@@ -38,34 +37,6 @@ class TestDistance:
             distance((np.nan, 0), (0, 0))
         with pytest.raises(InvalidInputError):
             distance((0, 0), (np.inf, 1))
-
-    def test_unknown_metric(self):
-        with pytest.raises(InvalidInputError):
-            distance((0, 0), (1, 1), metric="manhattan")
-
-
-class TestMetricRegistry:
-    def test_squared_distance_rejected(self):
-        # Squared Euclidean violates the triangle inequality.
-        def squared(P, q):
-            return (P[:, 0] - q[0]) ** 2 + (P[:, 1] - q[1]) ** 2
-
-        with pytest.raises(MetricProbeError):
-            register_metric("squared", squared)
-
-    def test_asymmetric_rejected(self):
-        def lopsided(P, q):
-            return np.abs(P[:, 0] - q[0]) + 2 * np.maximum(P[:, 1] - q[1], 0)
-
-        with pytest.raises(MetricProbeError):
-            register_metric("lopsided", lopsided)
-
-    def test_scaled_euclidean_accepted(self):
-        def doubled(P, q):
-            return 2.0 * np.hypot(P[:, 0] - q[0], P[:, 1] - q[1])
-
-        register_metric("doubled", doubled)
-        assert distance((0, 0), (3, 4), metric="doubled") == 10.0
 
 
 class TestSignedDistance:

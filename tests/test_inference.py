@@ -37,9 +37,7 @@ def fitted_point(seed=0, n=240):
     x = rng.uniform(-1, 1, (n, 2))
     y = rng.normal(size=n) + np.where(RULE.contains(x), 2.0, 0.0)
     sample = Sample.from_data(y, x, RULE)
-    fit = fit_point(sample, (0.0, 0.0), RULE, "triangular", 0.9, 1)
-    build_surface([fit], n)
-    return fit
+    return fit_point(sample, (0.0, 0.0), RULE, "triangular", 0.9, 1)
 
 
 class TestNormalQuantile:
@@ -60,9 +58,8 @@ class TestNormalQuantile:
 class TestPointwiseCI:
     def test_interval_arithmetic(self):
         fit = fitted_point()
-        fit.xi_hat = 0.25
         # theta_hat +- 1.959964 * 0.5 around the point estimate
-        iv = pointwise_ci(fit, 0.05)
+        iv = pointwise_ci(fit, 0.5, 0.05)
         assert_allclose(iv.upper - iv.lower, 2 * 1.959964 * 0.5, atol=1e-5)
         assert_allclose(iv.lower, fit.theta_hat - 1.959964 * 0.5, atol=1e-5)
         assert iv.lower <= iv.upper
@@ -70,17 +67,16 @@ class TestPointwiseCI:
     def test_worked_numbers(self):
         # theta = 2, se = 0.5, alpha = 0.05 -> [1.020, 2.980]
         fit = fitted_point()
-        fit.xi_hat = 0.25
-        iv = pointwise_ci(fit, 0.05)
+        iv = pointwise_ci(fit, 0.5, 0.05)
         shift = fit.theta_hat - 2.0
         assert_allclose(iv.lower - shift, 1.020018, atol=1e-5)
         assert_allclose(iv.upper - shift, 2.979982, atol=1e-5)
 
     def test_unset_variance_rejected(self):
         fit = fitted_point()
-        fit.xi_hat = None
-        with pytest.raises(InvalidInputError):
-            pointwise_ci(fit, 0.05)
+        for se in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                pointwise_ci(fit, se, 0.05)
 
 
 class TestUniformQuantile:
@@ -152,7 +148,7 @@ def grid_fits(seed=12, n=900, M=5, h=0.9):
     pl = BoundaryPolyline.from_vertices([(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
     grid = make_grid(pl, M)
     fits = [fit_point(sample, b, RULE, "triangular", h, 1) for b in grid.points]
-    surface = build_surface(fits, n, grid=grid)
+    surface = build_surface(fits, grid=grid)
     return fits, surface
 
 
@@ -160,16 +156,16 @@ class TestUniformBand:
     def test_single_point_band_equals_pointwise(self):
         fits, surface = grid_fits(M=1)
         band = uniform_band(fits, surface, 0.05, num_draws=100000, seed=5)
-        ci = pointwise_ci(fits[0], 0.05)
+        ci = pointwise_ci(fits[0], surface.se[0], 0.05)
         assert abs(band.quantile - ci.quantile) < 0.03
-        assert abs(band.intervals[0].lower - ci.lower) < 0.03 * fits[0].se
+        assert abs(band.intervals[0].lower - ci.lower) < 0.03 * surface.se[0]
 
     def test_band_wider_than_pointwise(self):
         fits, surface = grid_fits()
         band = uniform_band(fits, surface, 0.05, num_draws=20000, seed=6)
         assert band.quantile >= 1.96 - 0.02
-        for iv, fit in zip(band.intervals, fits):
-            ci = pointwise_ci(fit, 0.05)
+        for iv, fit, se in zip(band.intervals, fits, surface.se):
+            ci = pointwise_ci(fit, se, 0.05)
             assert iv.lower <= ci.lower and iv.upper >= ci.upper
 
     def test_identity_corr_strictly_above_normal(self):
@@ -197,6 +193,6 @@ class TestUniformBand:
         sample = Sample.from_data(y, x, RULE)
         grid = make_grid(pl, 3)
         fits = [fit_point(sample, b, RULE, "uniform", h, 0) for b in grid.points]
-        surface = build_surface(fits, len(sample), grid=grid)
+        surface = build_surface(fits, grid=grid)
         with pytest.warns(BoundaryLengthWarning):
             uniform_band(fits, surface, 0.05, num_draws=2000, seed=8)

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bddist.data import Sample
-from bddist.errors import InsufficientDataError, SingularGramError
+from bddist.errors import BandwidthSelectionError, InsufficientDataError, SingularGramError
 from bddist.geometry import QuadrantRule
 from bddist.kernels import DistanceColumn, build_distance_column
 from bddist.locpoly import (
@@ -181,6 +185,14 @@ class TestFitPoint:
         with pytest.raises(InvalidInputError):
             fit_point(sample, ORIGIN, RULE, "uniform", 1.0, 0, column=col)
 
+    def test_point_fit_is_frozen(self):
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1, 1, (80, 2))
+        sample = Sample.from_data(rng.normal(size=80), x, RULE)
+        fit = fit_point(sample, ORIGIN, RULE, "uniform", 1.5, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fit.h = 2.0
+
     def test_error_carries_side(self):
         x = np.array([[0.5, 0.5], [0.7, 0.1], [0.2, 0.9]])
         sample = Sample.from_data(np.ones(3), x, RULE)
@@ -189,28 +201,26 @@ class TestFitPoint:
         assert err.value.side == 0
 
 
-class TestCustomMetric:
-    def test_scaled_metric_with_scaled_bandwidth_matches(self):
-        # Doubling every distance and the bandwidth leaves the scaled-basis
-        # design unchanged, so the fit is identical: the metric argument is
-        # threaded through the whole fitting path.
-        from bddist.geometry import register_metric
-
-        def tripled(P, q):
-            return 3.0 * np.hypot(P[:, 0] - q[0], P[:, 1] - q[1])
-
-        register_metric("tripled", tripled)
-        rng = np.random.default_rng(17)
-        x = rng.uniform(-1, 1, (150, 2))
-        y = rng.normal(size=150) + np.where(RULE.contains(x), 1.0, 0.0)
-        sample = Sample.from_data(y, x, RULE)
-        base = fit_point(sample, ORIGIN, RULE, "triangular", 0.7, 1)
-        scaled = fit_point(sample, ORIGIN, RULE, "triangular", 2.1, 1,
-                           metric="tripled")
-        assert np.allclose(scaled.fit1.gamma_hat, base.fit1.gamma_hat,
-                           rtol=1e-12)
+class TestJointScaling:
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.floats(0.1, 10.0), seed=st.integers(0, 2**32 - 1),
+           t=st.floats(0.0, 0.5), h=st.floats(0.6, 1.5))
+    def test_scaling_x_point_and_h_leaves_fit_unchanged(self, c, seed, t, h):
+        # D/h is invariant when x, the grid point and h scale together (the
+        # quadrant rule is invariant under positive scaling), so the
+        # scaled-basis fit is the same.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (200, 2))
+        y = rng.normal(size=200) + np.where(RULE.contains(x), 1.0, 0.0)
+        base = fit_point(Sample.from_data(y, x, RULE), (t, 0.0), RULE,
+                         "triangular", h, 1)
+        scaled = fit_point(Sample.from_data(y, c * x, RULE), (c * t, 0.0), RULE,
+                           "triangular", c * h, 1)
+        for side in (0, 1):
+            assert_allclose(scaled.side(side).gamma_hat, base.side(side).gamma_hat,
+                            rtol=1e-12, atol=1e-12)
+            assert scaled.side(side).n_eff == base.side(side).n_eff
         assert abs(scaled.theta_hat - base.theta_hat) < 1e-12
-        assert scaled.fit0.n_eff == base.fit0.n_eff
 
 
 class TestFitGrid:
@@ -223,6 +233,11 @@ class TestFitGrid:
         sample = Sample.from_data(rng.normal(size=100), x, RULE)
         fits = fit_grid(sample, grid, RULE, "uniform", 0.25, 1)
         assert isinstance(fits[0], InsufficientDataError)
+        assert not isinstance(fits[1], Exception)
+        # A bandwidth outcome that is an error is passed through in place.
+        err = BandwidthSelectionError("no candidate")
+        fits = fit_grid(sample, grid, RULE, "uniform", [0.25, 0.25, err], 1)
+        assert fits[2] is err
         assert not isinstance(fits[1], Exception)
 
     def test_respects_thread_env(self, monkeypatch):

@@ -38,10 +38,11 @@ for pt, member in zip(probes, rule.contains(probes)):
     print(f"  {pt} -> {bool(member)}")
 
 # The signed distance score to one boundary point: positive on the treated
-# side, negative on the control side, magnitude the Euclidean distance.
+# side, negative on the control side, magnitude the Euclidean distance.  The
+# side comes from the membership mask.
 b = np.array([0.0, 0.0])
 print(f"\nsigned distances to evaluation point {b}:")
-for pt, d in zip(probes, signed_distances(probes, b, rule)):
+for pt, d in zip(probes, signed_distances(probes, b, rule.contains(probes))):
     print(f"  {pt} -> {d:+.4f}")
 
 # Evaluation grids are equally spaced in arc length with endpoints included.

@@ -26,11 +26,10 @@ sample = draw_sample(spec, n, seed=7)
 grid = make_grid(spec.boundary, 21)
 
 rule = RuleOfThumb(c0=8.0)
-hs = resolve_bandwidths(rule, sample, spec.boundary, spec.assignment, grid,
-                        "triangular", p=1)
+hs = resolve_bandwidths(rule, sample, spec.boundary, grid, "triangular", p=1)
 print(f"n = {n}, rule-of-thumb bandwidth h = {hs[0]:.3f} (shared by all points)")
 
-fits = fit_grid(sample, grid, spec.assignment, "triangular", hs, p=1)
+fits = fit_grid(sample, grid, "triangular", hs, p=1)
 surface = build_surface(fits, grid=grid)
 band = uniform_band(fits, surface, alpha=0.05, num_draws=10000, seed=11)
 print(f"simultaneous critical value: {band.quantile:.3f} "

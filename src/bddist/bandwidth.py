@@ -91,11 +91,11 @@ def candidate_bandwidths(column, diameter: float, num: int = 15) -> np.ndarray:
 def mse_pilot_objective(sample, column, kernel: str, p: int, h: float) -> float:
     """Estimated MSE at bandwidth h: squared order-(p+1) vs order-p fit gap
     plus the variance estimate of the order-p fit."""
-    fit_p = fit_point(sample, column.eval_pt, None, kernel, h, p, column=column)
-    fit_p1 = fit_point(sample, column.eval_pt, None, kernel, h, p + 1, column=column)
+    fit_p = fit_point(sample, column.eval_pt, kernel, h, p, column=column)
+    fit_p1 = fit_point(sample, column.eval_pt, kernel, h, p + 1, column=column)
     bias_proxy = fit_p.theta_hat - fit_p1.theta_hat
     n = len(column)
-    phi0, phi1 = (influence_values(fit_p, side) for side in (0, 1))
+    (_, phi0), (_, phi1) = (influence_values(fit_p, side) for side in (0, 1))
     variance = float(phi0 @ phi0 + phi1 @ phi1) / (n * n)
     return bias_proxy * bias_proxy + variance
 
@@ -120,7 +120,7 @@ def mse_pilot_bandwidth(sample, column, kernel: str, p: int, candidates) -> floa
     if best_h is None:
         raise BandwidthSelectionError(
             f"no candidate bandwidth in [{candidates.min():.3g}, "
-            f"{candidates.max():.3g}] produced a valid fit at {tuple(column.eval_pt)}"
+            f"{candidates.max():.3g}] produced a valid fit at {tuple(column.eval_pt.tolist())}"
         )
     return best_h
 
@@ -183,7 +183,7 @@ class KinkAdaptive:
 BandwidthRule = Fixed | RuleOfThumb | MsePilot | KinkAdaptive
 
 
-def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline, assignment,
+def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline,
                        grid, kernel: str, p: int) -> list:
     """Per-evaluation-point bandwidth outcomes under the given rule.
 
@@ -193,8 +193,9 @@ def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline, assignment,
     unknown rule, a degenerate distance scale, or a resolved bandwidth
     outside (0, data diameter].
 
-    The pilot rules build one distance column per point, shared by the
-    candidate grid and every pilot fit there.
+    The pilot rules build one distance column per point over every row (the
+    candidate grid starts at a percentile of |D| over the whole sample),
+    shared by the candidate grid and every pilot fit there.
     """
     diameter = data_diameter(sample.x)
     if isinstance(rule, Fixed):
@@ -207,7 +208,7 @@ def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline, assignment,
         outcomes = []
         for pt in grid.points:
             try:
-                column = build_distance_column(sample, pt, assignment)
+                column = build_distance_column(sample, pt)
                 h = mse_pilot_bandwidth(
                     sample, column, kernel, p,
                     candidate_bandwidths(column, diameter, rule.num_candidates),

@@ -150,7 +150,7 @@ def run_estimate(cfg: RunConfig) -> int:
     sample = Sample.from_data(y, x, rule)
     grid = make_grid(polyline, int(cfg.grid_size))
     p, kernel, alpha = int(cfg.p), cfg.kernel, float(cfg.alpha)
-    outcomes = bw.resolve_bandwidths(_bandwidth_rule(cfg), sample, polyline, rule,
+    outcomes = bw.resolve_bandwidths(_bandwidth_rule(cfg), sample, polyline,
                                      grid, kernel, p)
 
     fits: dict[int, PointFit] = {}
@@ -160,15 +160,14 @@ def run_estimate(cfg: RunConfig) -> int:
             errors[k] = _error_code(h)
             continue
         try:
-            fits[k] = fit_point(sample, grid.points[k], rule, kernel, h, p)
+            fits[k] = fit_point(sample, grid.points[k], kernel, h, p)
         except BddistError as err:
             errors[k] = _error_code(err)
 
     se_by_key, band_by_key = {}, {}
     if fits:
         keys = sorted(fits)
-        surface = build_surface([fits[k] for k in keys],
-                                grid=grid if len(keys) == grid.count else None)
+        surface = build_surface([fits[k] for k in keys], grid=grid)
         band = uniform_band([fits[k] for k in keys], surface, alpha,
                             int(cfg.band_draws), int(cfg.seed))
         se_by_key = dict(zip(keys, surface.se))
@@ -203,6 +202,9 @@ def run_estimate(cfg: RunConfig) -> int:
             "",
         ])
     write_csv(cfg.out if cfg.out else sys.stdout, header, rows)
+    if fits and errors:
+        print(f"warning: uniform band covers {len(fits)} of {grid.count} grid points",
+              file=sys.stderr)
     return 2 if errors else 0
 
 

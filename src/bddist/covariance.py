@@ -5,6 +5,11 @@ values of its intercept estimate, and the surface over the whole grid is
 assembled from them in one pass.  This equals the two-sided sum of sandwich
 forms (nh^2)^{-1} e1' Psi(x1)^{-1} Upsilon(x1, x2) Psi(x2)^{-1} e1; the
 sandwich form is kept in the test suite as the reference oracle.
+
+Influence values vanish outside a fit's kernel support, so they are held
+only on its support rows, and the surface works on the union U of the
+grid's support rows, never on all n rows: each side is scattered into one
+dense M x |U| block and reduced by one matrix product.
 """
 
 from __future__ import annotations
@@ -18,20 +23,18 @@ from .geometry import EvalGrid
 from .locpoly import PointFit, scaled_basis
 
 
-def influence_values(fit: PointFit, side: int) -> np.ndarray:
-    """Per-observation influence values phi_i of the side intercept estimate.
+def influence_values(fit: PointFit, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Influence values phi_i of the side intercept estimate, on its support.
 
-    phi_i = e1' Psi^{-1} r_p(D_i/h) K_h(D_i) e_i on the side, zero elsewhere;
-    the side covariance between two points is n^{-2} sum_i phi_i(x1) phi_i(x2),
-    which matches the sandwich form exactly (the h^2 factors cancel).
+    Returns ``(rows, phi)``: the side's positively weighted sample rows and
+    phi_i = e1' Psi^{-1} r_p(D_i/h) K_h(D_i) e_i there (phi_i is zero on every
+    other row).  The side covariance between two points is
+    n^{-2} sum_i phi_i(x1) phi_i(x2), which matches the sandwich form exactly
+    (the h^2 factors cancel).
     """
     sf = fit.side(side)
-    idx = np.flatnonzero(sf.weights > 0.0)
-    phi = np.zeros(len(fit.column))
-    if idx.size:
-        B = scaled_basis(fit.column.values[idx] / fit.h, fit.p)
-        phi[idx] = (B @ sf.gram.inv_e1()) * sf.weights[idx] * sf.residuals[idx]
-    return phi
+    B = scaled_basis(sf.distances / fit.h, fit.p)
+    return sf.rows, (B @ sf.gram.inv_e1()) * sf.weights * sf.residuals
 
 
 @dataclass(frozen=True)
@@ -40,8 +43,9 @@ class CovarianceSurface:
 
     ``factor`` satisfies corr = factor @ factor.T and is reused as the
     square-root in the Gaussian band simulation.  ``grid`` is the evaluation
-    grid when the caller supplied one (needed for boundary-length warnings),
-    otherwise None.
+    grid the fits came from when the caller supplied one (its polyline feeds
+    the boundary-length warnings; the fits may cover only some of its
+    points), otherwise None.
     """
 
     grid: EvalGrid | None
@@ -94,7 +98,11 @@ def build_surface(fits: list, *, eig_floor: float = 1e-10,
     M = len(fits)
     xi = np.zeros((M, M))
     for side in (0, 1):
-        phi = np.stack([influence_values(f, side) for f in fits])
+        pieces = [influence_values(f, side) for f in fits]
+        union = np.unique(np.concatenate([rows for rows, _ in pieces]))
+        phi = np.zeros((M, union.size))
+        for k, (rows, values) in enumerate(pieces):
+            phi[k, np.searchsorted(union, rows)] = values
         xi += phi @ phi.T / (n * n)
     xi = 0.5 * (xi + xi.T)
     diag = np.diag(xi)

@@ -269,17 +269,22 @@ class PolygonRule:
 AssignmentRule = QuadrantRule | PolygonRule
 
 
-def signed_distances(P, eval_pt, rule) -> np.ndarray:
-    """Signed distances from points ``P`` to ``eval_pt``: + treated, - control."""
+def signed_distances(P, eval_pt, treated) -> np.ndarray:
+    """Signed distances from points ``P`` to ``eval_pt``: + treated, - control.
+
+    The side comes from the boolean mask ``treated``, never from the sign of
+    a distance, so a control point at ``eval_pt`` itself scores -0.0.
+    """
     P = _as_points(P)
     d = _euclidean(P, as_point(eval_pt))
-    sign = np.where(rule.contains(P), 1.0, -1.0)
+    sign = np.where(treated, 1.0, -1.0)
     return sign * d
 
 
 def signed_distance(x_i, eval_pt, rule) -> float:
     """Scalar signed distance score of one observation at one boundary point."""
-    return float(signed_distances(as_point(x_i)[None, :], eval_pt, rule)[0])
+    P = as_point(x_i)[None, :]
+    return float(signed_distances(P, eval_pt, rule.contains(P))[0])
 
 
 # ---------------------------------------------------------------------------

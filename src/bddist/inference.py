@@ -153,7 +153,7 @@ def uniform_band(fits: list, surface: CovarianceSurface, alpha: float = 0.05,
             if arc > perimeter_multiple * fit.h:
                 warnings.warn(
                     f"boundary arc length {arc:.3g} inside the kernel support at "
-                    f"{tuple(fit.eval_pt)} exceeds {perimeter_multiple:g} x h",
+                    f"{tuple(fit.eval_pt.tolist())} exceeds {perimeter_multiple:g} x h",
                     BoundaryLengthWarning,
                     stacklevel=2,
                 )

@@ -5,6 +5,10 @@ Kernels are kept in their classical unnormalized form (uniform = 1 on
 least squares fits are invariant to kernel scale and the sandwich variance
 is self-normalizing, so no density normalization is applied.  The weight
 uses the bivariate normalization K(u/h) / h^2.
+
+A distance column holds only the sample rows within a radius of its
+evaluation point, found by one scan of the squared distances: a fit at
+bandwidth h needs no row outside the kernel's compact support.
 """
 
 from __future__ import annotations
@@ -53,44 +57,68 @@ def kh_weight(family: str, u, h: float) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class DistanceColumn:
-    """Signed distances from every observation to one evaluation point.
+    """Signed distances from the n sample rows to one evaluation point,
+    stored for the rows near the point only.
 
-    ``treated`` is the per-observation side mask derived from region
-    membership: True maps to the side with D >= 0, False to D < 0.
+    ``rows`` holds the ascending sample indices the column keeps (every row
+    of a column built from explicit values), ``values`` their signed
+    distances and ``treated`` their side mask, taken from the sample's rule
+    mask: True maps to D >= 0, False to D <= 0 (a control row at the point
+    itself scores -0.0).  The column's length is n, the size of the whole
+    sample and the denominator of every sample average.
     """
 
     eval_pt: np.ndarray
     values: np.ndarray
     treated: np.ndarray
+    rows: np.ndarray = None
+    n: int = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         mask = np.asarray(self.treated, dtype=bool)
         pt = as_point(self.eval_pt)
-        if vals.shape != mask.shape or vals.ndim != 1 or len(vals) == 0:
+        if vals.shape != mask.shape or vals.ndim != 1:
             raise InvalidInputError("values and treated must be equal-length 1-d arrays")
-        if np.any(vals[mask] < 0.0) or np.any(vals[~mask] >= 0.0):
+        if np.any(vals[mask] < 0.0) or np.any(vals[~mask] > 0.0):
             raise InvalidInputError("side mask inconsistent with sign of distances")
-        for arr in (vals, mask, pt):
+        rows = np.arange(len(vals)) if self.rows is None else np.asarray(self.rows)
+        n = len(vals) if self.n is None else int(self.n)
+        if (rows.shape != vals.shape or np.any(np.diff(rows) <= 0)
+                or np.any((rows < 0) | (rows >= n))):
+            raise InvalidInputError(f"rows must be ascending indices into {n} sample rows, "
+                                    "one per value")
+        for arr in (vals, mask, pt, rows):
             arr.setflags(write=False)
         object.__setattr__(self, "eval_pt", pt)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "treated", mask)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n", n)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.n
 
     def side_mask(self, side: int) -> np.ndarray:
-        """Boolean mask of observations on side 0 (control) or 1 (treated)."""
+        """Boolean mask of kept rows on side 0 (control) or 1 (treated)."""
         if side not in (0, 1):
             raise InvalidInputError(f"side must be 0 or 1, got {side}")
         return self.treated if side == 1 else ~self.treated
 
 
-def build_distance_column(sample, eval_pt, rule) -> DistanceColumn:
-    """Signed distance column of a sample at one boundary evaluation point."""
-    x = np.asarray(sample.x, dtype=float)
-    if len(x) == 0:
-        raise InvalidInputError("sample is empty")
-    values = signed_distances(x, eval_pt, rule)
-    return DistanceColumn(as_point(eval_pt), values, values >= 0.0)
+def build_distance_column(sample, eval_pt, radius: float = np.inf) -> DistanceColumn:
+    """Signed distance column of the sample rows within ``radius`` of a point.
+
+    One vectorized pass over the squared distances keeps every row within
+    radius (1 + 1e-9), a margin that absorbs their rounding, so no row inside
+    the kernel support of a bandwidth h = radius is lost.  Distances of the
+    kept rows come from the same formula as an unrestricted column, bit for
+    bit; the side comes from ``sample.treated``.
+    """
+    x = sample.x
+    pt = as_point(eval_pt)
+    dx, dy = x[:, 0] - pt[0], x[:, 1] - pt[1]
+    rows = np.flatnonzero(dx * dx + dy * dy <= (radius * (1.0 + 1e-9)) ** 2)
+    treated = sample.treated[rows]
+    values = signed_distances(x[rows], pt, treated)
+    return DistanceColumn(pt, values, treated, rows, len(x))

@@ -5,7 +5,8 @@ weighted least squares in the bandwidth-scaled basis (1, D/h, ..., (D/h)^p);
 the treatment effect estimate at the evaluation point is the difference of
 the two fitted intercepts.  Sample averages in the normal equations run over
 the full sample size n (not side-specific counts) so that the downstream
-variance formulas apply verbatim.
+variance formulas apply verbatim, but a fit holds arrays only for the rows
+inside its kernel support: nothing of length n outlives ``fit_point``.
 """
 
 from __future__ import annotations
@@ -86,14 +87,18 @@ class SideFit:
     """One-sided weighted least squares fit in the scaled basis.
 
     ``gamma_hat`` holds coefficients of (1, D/h, ..., (D/h)^p); raw-basis
-    coefficients are gamma_hat[j] / h^j.  ``weights`` and ``residuals`` are
-    full-length arrays (zero weight off-side) kept for covariance estimation.
+    coefficients are gamma_hat[j] / h^j.  ``rows`` are the ascending sample
+    indices of the n_eff positively weighted observations on the side;
+    their signed ``distances``, ``weights`` and ``residuals`` are aligned
+    with them and kept for covariance estimation.
     """
 
     side: int
     gamma_hat: np.ndarray
     n_eff: int
     gram: GramMatrix
+    rows: np.ndarray
+    distances: np.ndarray
     weights: np.ndarray
     residuals: np.ndarray
 
@@ -115,23 +120,26 @@ def fit_side(y, column: DistanceColumn, side: int, kernel: str, h: float, p: int
     y = np.asarray(y, dtype=float)
     n = len(column)
     if y.shape != (n,):
-        raise InvalidInputError("y must match the distance column in length")
+        raise InvalidInputError("y must match the distance column's sample in length")
     mask = column.side_mask(side)
     w = kh_weight(kernel, column.values, h) * mask
     idx = np.flatnonzero(w > 0.0)
     if idx.size < p + 1:
         raise InsufficientDataError(side, int(idx.size), p + 1)
-    B = scaled_basis(column.values[idx] / h, p)
-    g = _gram_from_design(B, w[idx], n)
+    d = column.values[idx]
+    B = scaled_basis(d / h, p)
+    w = w[idx]
+    g = _gram_from_design(B, w, n)
     if g.min_eigenvalue < MIN_GRAM_EIGENVALUE:
         raise SingularGramError(side, g.min_eigenvalue)
-    s = (B * w[idx, None]).T @ y[idx] / n
+    rows = column.rows[idx]
+    y = y[rows]
+    s = (B * w[:, None]).T @ y / n
     gamma = g.solve(s)
-    residuals = np.zeros(n)
-    residuals[idx] = y[idx] - B @ gamma
-    residuals.setflags(write=False)
-    w.setflags(write=False)
-    return SideFit(side, gamma, int(idx.size), g, w, residuals)
+    residuals = y - B @ gamma
+    for arr in (rows, d, w, residuals):
+        arr.setflags(write=False)
+    return SideFit(side, gamma, int(idx.size), g, rows, d, w, residuals)
 
 
 @dataclass(frozen=True)
@@ -157,17 +165,17 @@ class PointFit:
         return self.fit1 if t == 1 else self.fit0
 
 
-def fit_point(sample, eval_pt, rule, kernel: str, h: float, p: int,
+def fit_point(sample, eval_pt, kernel: str, h: float, p: int,
               column: DistanceColumn | None = None) -> PointFit:
     """Fit both sides at one boundary point and form the effect estimate.
 
-    A precomputed ``column`` for the same point is used as is; ``rule`` is
-    read only to build the column when none is given.
+    A precomputed ``column`` for the same point is used as is; otherwise
+    the column keeps only the rows within h of the point.
     """
     if not np.isfinite(h) or h <= 0.0:
         raise InvalidBandwidthError(f"bandwidth must be positive, got {h}")
     if column is None:
-        column = build_distance_column(sample, eval_pt, rule)
+        column = build_distance_column(sample, eval_pt, h)
     elif not np.array_equal(column.eval_pt, as_point(eval_pt)):
         raise InvalidInputError("precomputed column belongs to a different point")
     fit0 = fit_side(sample.y, column, 0, kernel, h, p)
@@ -186,7 +194,7 @@ def worker_count() -> int:
         raise InvalidInputError(f"BDD_THREADS must be an integer, got {raw!r}") from None
 
 
-def fit_grid(sample, grid, rule, kernel: str, bandwidths, p: int) -> list:
+def fit_grid(sample, grid, kernel: str, bandwidths, p: int) -> list:
     """Fit every grid point; returns a list aligned with the grid.
 
     ``bandwidths`` is a scalar or one entry per point, such as the outcomes
@@ -201,7 +209,7 @@ def fit_grid(sample, grid, rule, kernel: str, bandwidths, p: int) -> list:
         if isinstance(hs[k], BddistError):
             return hs[k]
         try:
-            return fit_point(sample, grid.points[k], rule, kernel, hs[k], p)
+            return fit_point(sample, grid.points[k], kernel, hs[k], p)
         except (InsufficientDataError, SingularGramError, InvalidBandwidthError) as err:
             return err
 

@@ -251,9 +251,8 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
         draw_seq, band_seq = child.spawn(2)
         sample = draw_sample(spec, n, draw_seq)
         try:
-            hs = resolve_bandwidths(bw_rule, sample, spec.boundary, spec.assignment,
-                                    grid, kernel, p)
-            fits = fit_grid(sample, grid, spec.assignment, kernel, hs, p)
+            hs = resolve_bandwidths(bw_rule, sample, spec.boundary, grid, kernel, p)
+            fits = fit_grid(sample, grid, kernel, hs, p)
             failed = [f for f in fits if not isinstance(f, PointFit)]
             if failed:
                 raise failed[0]

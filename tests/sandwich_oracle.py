@@ -37,15 +37,15 @@ def upsilon(fit_a: PointFit, fit_b: PointFit, side: int) -> np.ndarray:
     h = fit_a.h
     n = len(fit_a.column)
     sa, sb = fit_a.side(side), fit_b.side(side)
-    both = (sa.weights > 0.0) & (sb.weights > 0.0)
-    idx = np.flatnonzero(both)
+    rows, ia, ib = np.intersect1d(sa.rows, sb.rows, assume_unique=True,
+                                  return_indices=True)
     p = fit_a.p
-    if idx.size == 0:
+    if rows.size == 0:
         return np.zeros((p + 1, p + 1))
-    Ba = scaled_basis(fit_a.column.values[idx] / h, p)
-    Bb = scaled_basis(fit_b.column.values[idx] / h, p)
-    wa = sa.weights[idx] * sa.residuals[idx]
-    wb = sb.weights[idx] * sb.residuals[idx]
+    Ba = scaled_basis(sa.distances[ia] / h, p)
+    Bb = scaled_basis(sb.distances[ib] / h, p)
+    wa = sa.weights[ia] * sa.residuals[ia]
+    wb = sb.weights[ib] * sb.residuals[ib]
     return h * h * (Ba * wa[:, None]).T @ (Bb * wb[:, None]) / n
 
 

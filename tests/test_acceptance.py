@@ -126,7 +126,7 @@ def test_criterion_05_polynomial_reproduction():
         y = np.where(treated, scaled_basis(d, p) @ c1, scaled_basis(d, p) @ c0)
         sample = Sample(y, x, treated)
         h = 1.2 * np.abs(d).max() + 0.1
-        fit = fit_point(sample, origin, rule, kernel, h, p)
+        fit = fit_point(sample, origin, kernel, h, p)
         assert abs(fit.theta_hat - (c1[0] - c0[0])) < 1e-9
         trials += 1
     elapsed = time.time() - t0

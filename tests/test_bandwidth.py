@@ -36,7 +36,7 @@ def square_sample(rng, n=2500, mean_fn=None, noise=1.0):
 
 def origin_pilot(sample, num):
     """Distance column at the origin and its candidate bandwidth grid."""
-    column = build_distance_column(sample, (0.0, 0.0), RULE)
+    column = build_distance_column(sample, (0.0, 0.0))
     return column, candidate_bandwidths(column, data_diameter(sample.x), num)
 
 
@@ -174,7 +174,7 @@ class TestMsePilot:
         rng = np.random.default_rng(6)
         sample = square_sample(rng, n=50)
         with pytest.raises(BandwidthSelectionError):
-            mse_pilot_bandwidth(sample, build_distance_column(sample, (0.0, 0.0), RULE),
+            mse_pilot_bandwidth(sample, build_distance_column(sample, (0.0, 0.0)),
                                 "uniform", 1, np.full(6, 1e-9))
 
     def test_candidate_grid_shape(self):
@@ -193,10 +193,10 @@ class TestResolve:
         rng = np.random.default_rng(8)
         sample = square_sample(rng, n=600)
         grid = make_grid(self.PL, 3)
-        hs = resolve_bandwidths(Fixed(0.5), sample, self.PL, RULE, grid,
+        hs = resolve_bandwidths(Fixed(0.5), sample, self.PL, grid,
                                 "uniform", 1)
         assert_allclose(hs, 0.5)
-        hs = resolve_bandwidths(RuleOfThumb(c0=2.0), sample, self.PL, RULE,
+        hs = resolve_bandwidths(RuleOfThumb(c0=2.0), sample, self.PL,
                                 grid, "uniform", 1)
         assert np.unique(hs).size == 1
 
@@ -207,7 +207,7 @@ class TestResolve:
         from bddist.errors import InvalidBandwidthError
 
         with pytest.raises(InvalidBandwidthError):
-            resolve_bandwidths(Fixed(50.0), sample, self.PL, RULE, grid,
+            resolve_bandwidths(Fixed(50.0), sample, self.PL, grid,
                                "uniform", 1)
 
     def test_kink_adaptive_capped_by_pilot(self):
@@ -215,9 +215,9 @@ class TestResolve:
         sample = square_sample(rng, n=1500)
         grid = make_grid(self.PL, 5)
         hs_mse = resolve_bandwidths(MsePilot(num_candidates=6), sample, self.PL,
-                                    RULE, grid, "uniform", 1)
+                                    grid, "uniform", 1)
         hs_kink = resolve_bandwidths(KinkAdaptive(num_candidates=6), sample,
-                                     self.PL, RULE, grid, "uniform", 1)
+                                     self.PL, grid, "uniform", 1)
         assert np.all(np.asarray(hs_kink) <= np.asarray(hs_mse) + 1e-12)
 
     def test_pilot_failure_stays_at_its_point(self):
@@ -230,8 +230,9 @@ class TestResolve:
         sample = Sample.from_data(rng.normal(size=600), x, RULE)
         grid = make_grid(self.PL, 3)
         for rule in (MsePilot(), KinkAdaptive(c0=8.0)):
-            hs = resolve_bandwidths(rule, sample, self.PL, RULE, grid, "triangular", 1)
+            hs = resolve_bandwidths(rule, sample, self.PL, grid, "triangular", 1)
             assert [type(h) for h in hs] == [float, float, BandwidthSelectionError]
+            assert str(hs[2]).endswith("produced a valid fit at (1.0, 0.0)")
 
 
 class TestDataDiameter:

@@ -134,12 +134,13 @@ class TestEstimate:
         polyline, rule = load_boundary(boundary_file)
         y, x = read_dataset(data)
         expected = resolve_bandwidths(PILOT_RULES[name], Sample.from_data(y, x, rule),
-                                      polyline, rule, make_grid(polyline, 3),
+                                      polyline, make_grid(polyline, 3),
                                       "triangular", 1)
         assert [float(row["h"]) for row in read_rows(out)] == [float(h) for h in expected]
 
     @pytest.mark.parametrize("name", sorted(PILOT_RULES))
-    def test_pilot_rule_empty_point_fails_alone(self, tmp_path, boundary_file, name):
+    def test_pilot_rule_empty_point_fails_alone(self, tmp_path, boundary_file, name,
+                                                capsys):
         # Control data only left of the vertical boundary segment: no
         # candidate bandwidth at (1, 0) reaches a control observation.
         rng = np.random.default_rng(0)
@@ -156,6 +157,7 @@ class TestEstimate:
         assert [row["error"] for row in rows] == ["", "", "bandwidth-selection-failed"]
         for row in rows[:2]:
             assert all(row[col] != "" for col in ("h", "theta_hat", "se", "band_lower"))
+        assert capsys.readouterr().err == "warning: uniform band covers 2 of 3 grid points\n"
 
     def test_dump_cov(self, tmp_path, boundary_file):
         data = write_dataset(tmp_path)

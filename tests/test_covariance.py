@@ -48,16 +48,16 @@ class TestUpsilon:
     def test_disjoint_supports_give_zero(self):
         rng = np.random.default_rng(0)
         sample = random_two_sided_sample(rng)
-        fa = fit_point(sample, (0.0, 0.0), RULE, "uniform", 0.3, 0)
-        fb = fit_point(sample, (0.95, 0.0), RULE, "uniform", 0.3, 0)
+        fa = fit_point(sample, (0.0, 0.0), "uniform", 0.3, 0)
+        fb = fit_point(sample, (0.95, 0.0), "uniform", 0.3, 0)
         assert_allclose(upsilon(fa, fb, 1), np.zeros((1, 1)))
         assert xi_pair(fa, fb) == 0.0
 
     def test_mismatched_bandwidths_rejected(self):
         rng = np.random.default_rng(1)
         sample = random_two_sided_sample(rng)
-        fa = fit_point(sample, (0.0, 0.0), RULE, "uniform", 0.5, 0)
-        fb = fit_point(sample, (0.1, 0.0), RULE, "uniform", 0.6, 0)
+        fa = fit_point(sample, (0.0, 0.0), "uniform", 0.5, 0)
+        fb = fit_point(sample, (0.1, 0.0), "uniform", 0.6, 0)
         with pytest.raises(InvalidPairingError):
             upsilon(fa, fb, 1)
         with pytest.raises(InvalidPairingError):
@@ -70,21 +70,23 @@ class TestUpsilon:
 
         rng = np.random.default_rng(2)
         sample = random_two_sided_sample(rng, n=200)
-        fa = fit_point(sample, (0.0, 0.0), RULE, "triangular", 0.9, 1)
-        fb = fit_point(sample, (0.4, 0.0), RULE, "triangular", 0.9, 1)
+        fa = fit_point(sample, (0.0, 0.0), "triangular", 0.9, 1)
+        fb = fit_point(sample, (0.4, 0.0), "triangular", 0.9, 1)
         h, n = fa.h, len(sample)
         for side in (0, 1):
             got = upsilon(fa, fb, side)
             # Single-indicator recomputation: the side mask enters through
             # the first evaluation point only; at the second point the kernel
-            # weight and residual are used unmasked.
+            # weight and residual are used unmasked.  The rows of the side
+            # at the first point carry that side's sign at the second.
             sa, sb = fa.side(side), fb.side(side)
-            idx = np.flatnonzero(sa.weights > 0.0)
-            Ba = scaled_basis(fa.column.values[idx] / h, 1)
-            Bb = scaled_basis(fb.column.values[idx] / h, 1)
-            wa = sa.weights[idx] * sa.residuals[idx]
-            kb = kh_weight("triangular", fb.column.values[idx], h)
-            resid_b = sample.y[idx] - Bb @ sb.gamma_hat
+            rows = sa.rows
+            db = (1.0 if side == 1 else -1.0) * np.hypot(*(sample.x[rows] - fb.eval_pt).T)
+            Ba = scaled_basis(sa.distances / h, 1)
+            Bb = scaled_basis(db / h, 1)
+            wa = sa.weights * sa.residuals
+            kb = kh_weight("triangular", db, h)
+            resid_b = sample.y[rows] - Bb @ sb.gamma_hat
             wb = kb * resid_b
             single = h * h * (Ba * wa[:, None]).T @ (Bb * wb[:, None]) / n
             assert_allclose(got, single, atol=1e-13, rtol=1e-10)
@@ -94,14 +96,14 @@ class TestXiPair:
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         sample = random_two_sided_sample(rng, n=250)
-        fa = fit_point(sample, (0.0, 0.0), RULE, "triangular", 0.8, 1)
-        fb = fit_point(sample, (0.3, 0.0), RULE, "triangular", 0.8, 1)
+        fa = fit_point(sample, (0.0, 0.0), "triangular", 0.8, 1)
+        fb = fit_point(sample, (0.3, 0.0), "triangular", 0.8, 1)
         assert abs(xi_pair(fa, fb) - xi_pair(fb, fa)) < 1e-10
 
     def test_variance_positive_with_noise(self):
         rng = np.random.default_rng(4)
         sample = random_two_sided_sample(rng)
-        fit = fit_point(sample, (0.0, 0.0), RULE, "uniform", 0.9, 1)
+        fit = fit_point(sample, (0.0, 0.0), "uniform", 0.9, 1)
         assert xi_pair(fit, fit) > 0.0
 
     def test_quadratic_in_residual_scale(self):
@@ -120,7 +122,7 @@ class TestBuildSurface:
     def test_single_point_surface(self):
         rng = np.random.default_rng(5)
         sample = random_two_sided_sample(rng)
-        fit = fit_point(sample, (0.0, 0.0), RULE, "uniform", 0.9, 1)
+        fit = fit_point(sample, (0.0, 0.0), "uniform", 0.9, 1)
         surface = build_surface([fit])
         assert_allclose(surface.corr, [[1.0]])
         assert surface.xi[0, 0] > 0
@@ -130,7 +132,7 @@ class TestBuildSurface:
         rng = np.random.default_rng(6)
         sample = random_two_sided_sample(rng, n=220)
         pts = [(0.0, 0.0), (0.25, 0.0), (0.0, 0.55)]
-        fits = [fit_point(sample, b, RULE, "triangular", 0.8, 1) for b in pts]
+        fits = [fit_point(sample, b, "triangular", 0.8, 1) for b in pts]
         surface = build_surface(fits)
         for i in range(3):
             for j in range(3):
@@ -140,8 +142,8 @@ class TestBuildSurface:
     def test_duplicated_point_perfectly_correlated(self):
         rng = np.random.default_rng(7)
         sample = random_two_sided_sample(rng)
-        fit = fit_point(sample, (0.0, 0.0), RULE, "uniform", 0.9, 1)
-        fit2 = fit_point(sample, (0.0, 0.0), RULE, "uniform", 0.9, 1)
+        fit = fit_point(sample, (0.0, 0.0), "uniform", 0.9, 1)
+        fit2 = fit_point(sample, (0.0, 0.0), "uniform", 0.9, 1)
         surface = build_surface([fit, fit2])
         assert_allclose(surface.corr[0, 1], 1.0, atol=1e-8)
         assert surface.regularization_applied  # rank-1 correlation was clipped
@@ -149,8 +151,8 @@ class TestBuildSurface:
     def test_disjoint_points_uncorrelated(self):
         rng = np.random.default_rng(8)
         sample = random_two_sided_sample(rng, n=300)
-        fa = fit_point(sample, (0.0, 0.0), RULE, "uniform", 0.3, 0)
-        fb = fit_point(sample, (0.95, 0.0), RULE, "uniform", 0.3, 0)
+        fa = fit_point(sample, (0.0, 0.0), "uniform", 0.3, 0)
+        fb = fit_point(sample, (0.95, 0.0), "uniform", 0.3, 0)
         surface = build_surface([fa, fb])
         assert_allclose(surface.corr[0, 1], 0.0, atol=1e-12)
 
@@ -158,15 +160,15 @@ class TestBuildSurface:
         x = np.array([[0.1, 0.2], [0.3, 0.1], [0.2, 0.4],
                       [-0.1, 0.2], [-0.3, 0.1], [-0.2, -0.4]])
         sample = Sample.from_data(np.ones(6), x, RULE)
-        fit = fit_point(sample, (0.0, 0.0), RULE, "uniform", 1.0, 0)
+        fit = fit_point(sample, (0.0, 0.0), "uniform", 1.0, 0)
         with pytest.raises(DegenerateVarianceError):
             build_surface([fit])
 
     def test_mixed_sample_sizes_rejected(self):
         rng = np.random.default_rng(11)
-        fa = fit_point(random_two_sided_sample(rng, n=100), (0.0, 0.0), RULE,
+        fa = fit_point(random_two_sided_sample(rng, n=100), (0.0, 0.0),
                        "uniform", 0.9, 1)
-        fb = fit_point(random_two_sided_sample(rng, n=200), (0.0, 0.0), RULE,
+        fb = fit_point(random_two_sided_sample(rng, n=200), (0.0, 0.0),
                        "uniform", 0.9, 1)
         with pytest.raises(InvalidPairingError):
             build_surface([fa, fb])
@@ -175,7 +177,7 @@ class TestBuildSurface:
         rng = np.random.default_rng(9)
         sample = random_two_sided_sample(rng, n=260)
         pts = [(0.0, 0.0), (0.15, 0.0), (0.3, 0.0), (0.0, 0.2)]
-        fits = [fit_point(sample, b, RULE, "triangular", 0.7, 1) for b in pts]
+        fits = [fit_point(sample, b, "triangular", 0.7, 1) for b in pts]
         surface = build_surface(fits)
         assert_allclose(surface.factor @ surface.factor.T, surface.corr, atol=1e-12)
         assert_allclose(np.diag(surface.corr), 1.0)
@@ -204,11 +206,15 @@ class TestInfluenceValues:
     def test_sum_matches_sandwich(self):
         rng = np.random.default_rng(10)
         sample = random_two_sided_sample(rng)
-        fa = fit_point(sample, (0.0, 0.0), RULE, "triangular", 0.8, 1)
-        fb = fit_point(sample, (0.2, 0.0), RULE, "triangular", 0.8, 1)
+        fa = fit_point(sample, (0.0, 0.0), "triangular", 0.8, 1)
+        fb = fit_point(sample, (0.2, 0.0), "triangular", 0.8, 1)
         n = len(sample)
-        total = sum(
-            float(influence_values(fa, side) @ influence_values(fb, side)) / (n * n)
-            for side in (0, 1)
-        )
+
+        def dense(fit, side):
+            rows, phi = influence_values(fit, side)
+            out = np.zeros(n)
+            out[rows] = phi
+            return out
+
+        total = sum(float(dense(fa, side) @ dense(fb, side)) / (n * n) for side in (0, 1))
         assert_allclose(total, xi_pair(fa, fb), rtol=1e-12, atol=1e-20)

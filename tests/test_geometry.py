@@ -55,7 +55,8 @@ class TestSignedDistance:
 
     def test_sign_tracks_membership_everywhere(self):
         # The sign flips exactly when the point crosses regions, no matter
-        # which evaluation point is used.
+        # which evaluation point is used; the vectorized form takes the
+        # membership mask and agrees with the per-point rule query.
         rng = np.random.default_rng(7)
         for _ in range(10):
             raw = rng.uniform(-1, 1, size=(8, 2))
@@ -63,7 +64,8 @@ class TestSignedDistance:
             pts = rng.uniform(-1.5, 1.5, size=(60, 2))
             inside = hull_rule.contains(pts)
             for b in rng.uniform(-1, 1, size=(3, 2)):
-                d = signed_distances(pts, b, hull_rule)
+                d = np.array([signed_distance(pt, b, hull_rule) for pt in pts])
+                assert np.array_equal(signed_distances(pts, b, inside), d)
                 off = np.abs(d) > 1e-9  # skip points that coincide with b
                 assert np.all((d[off] > 0) == inside[off])
 

@@ -80,21 +80,21 @@ class TestDistanceColumn:
     def test_two_points_one_per_side(self):
         rule = QuadrantRule()
         sample = Sample.from_data([1.0, 2.0], [[1.0, 1.0], [-1.0, 0.5]], rule)
-        col = build_distance_column(sample, (0.0, 0.0), rule)
+        col = build_distance_column(sample, (0.0, 0.0))
         assert col.treated.tolist() == [True, False]
         assert_allclose(col.values, [np.sqrt(2.0), -np.sqrt(1.25)])
 
     def test_point_at_eval_is_treated(self):
         rule = QuadrantRule()
         sample = Sample.from_data([1.0], [[0.0, 0.0]], rule)
-        col = build_distance_column(sample, (0.0, 0.0), rule)
+        col = build_distance_column(sample, (0.0, 0.0))
         assert col.values[0] == 0.0
         assert col.treated[0]
 
     def test_empty_treated_side_still_valid(self):
         rule = QuadrantRule()
         sample = Sample.from_data([1.0, 2.0], [[-1.0, 0.0], [-2.0, -1.0]], rule)
-        col = build_distance_column(sample, (0.0, 0.0), rule)
+        col = build_distance_column(sample, (0.0, 0.0))
         assert not col.treated.any()
         assert col.side_mask(1).sum() == 0
         assert col.side_mask(0).sum() == 2
@@ -104,10 +104,29 @@ class TestDistanceColumn:
         rule = QuadrantRule()
         x = rng.normal(size=(200, 2))
         sample = Sample.from_data(np.zeros(200), x, rule)
-        col = build_distance_column(sample, (0.3, 0.0), rule)
+        col = build_distance_column(sample, (0.3, 0.0))
         assert np.all((col.values >= 0) == col.treated)
 
     def test_inconsistent_mask_rejected(self):
         with pytest.raises(InvalidInputError):
             DistanceColumn(np.array([0.0, 0.0]), np.array([1.0, -1.0]),
                            np.array([False, True]))
+
+    def test_radius_keeps_the_support_rows_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-1, 1, (500, 2))
+        sample = Sample.from_data(np.zeros(500), x, QuadrantRule())
+        full = build_distance_column(sample, (0.3, 0.0))
+        near = build_distance_column(sample, (0.3, 0.0), 0.4)
+        assert len(full) == len(near) == 500 and len(full.values) == 500
+        assert np.array_equal(near.rows, np.flatnonzero(np.abs(full.values) <= 0.4))
+        assert np.array_equal(near.values, full.values[near.rows])
+        assert np.array_equal(near.treated, sample.treated[near.rows])
+
+    def test_rows_must_index_the_sample(self):
+        with pytest.raises(InvalidInputError):
+            DistanceColumn(np.zeros(2), np.array([1.0, 2.0]), np.array([True, True]),
+                           np.array([3, 1]), 5)
+        with pytest.raises(InvalidInputError):
+            DistanceColumn(np.zeros(2), np.array([1.0, 2.0]), np.array([True, True]),
+                           np.array([1, 5]), 5)

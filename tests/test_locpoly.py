@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from bddist.covariance import build_surface
 from bddist.data import Sample
 from bddist.errors import BandwidthSelectionError, InsufficientDataError, SingularGramError
 from bddist.geometry import QuadrantRule
@@ -137,7 +138,7 @@ class TestFitPoint:
                        -rng.uniform(0.05, 1, (25, 2))])
         y = np.where(RULE.contains(x), 5.0, 3.0)
         sample = Sample.from_data(y, x, RULE)
-        fit = fit_point(sample, ORIGIN, RULE, "uniform", 2.5, 1)
+        fit = fit_point(sample, ORIGIN, "uniform", 2.5, 1)
         assert_allclose(fit.theta_hat, 2.0, atol=1e-12)
 
     def test_mirrored_data_has_zero_effect(self):
@@ -146,7 +147,7 @@ class TestFitPoint:
         x = np.vstack([pos, -pos])
         y = np.concatenate([rng.normal(size=30)] * 2)
         sample = Sample.from_data(y, x, RULE)
-        fit = fit_point(sample, ORIGIN, RULE, "triangular", 2.5, 1)
+        fit = fit_point(sample, ORIGIN, "triangular", 2.5, 1)
         # Mirrored points sit at identical distances with identical outcomes.
         assert abs(fit.theta_hat) < 1e-12
 
@@ -155,7 +156,7 @@ class TestFitPoint:
         x = rng.uniform(-1, 1, (80, 2))
         y = rng.normal(size=80)
         sample = Sample.from_data(y, x, RULE)
-        fit = fit_point(sample, ORIGIN, RULE, "uniform", 2.5, 1)
+        fit = fit_point(sample, ORIGIN, "uniform", 2.5, 1)
         assert fit.theta_hat == fit.fit1.intercept - fit.fit0.intercept
 
     @pytest.mark.parametrize("p", [0, 1, 2])
@@ -164,7 +165,7 @@ class TestFitPoint:
         for _ in range(20):
             x = rng.uniform(-1, 1, (70, 2))
             sample0 = Sample.from_data(np.zeros(70), x, RULE)
-            col = build_distance_column(sample0, ORIGIN, RULE)
+            col = build_distance_column(sample0, ORIGIN)
             c1 = rng.uniform(-2, 2, p + 1)
             c0 = rng.uniform(-2, 2, p + 1)
             y = np.where(col.treated,
@@ -172,33 +173,78 @@ class TestFitPoint:
                          scaled_basis(col.values, p) @ c0)
             sample = Sample.from_data(y, x, RULE)
             h = 1.2 * np.abs(col.values).max() + 0.1
-            fit = fit_point(sample, ORIGIN, RULE, "triangular", h, p)
+            fit = fit_point(sample, ORIGIN, "triangular", h, p)
             assert abs(fit.theta_hat - (c1[0] - c0[0])) < 1e-9
 
     def test_precomputed_column_must_match_point(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, (60, 2))
         sample = Sample.from_data(rng.normal(size=60), x, RULE)
-        col = build_distance_column(sample, (0.5, 0.0), RULE)
+        col = build_distance_column(sample, (0.5, 0.0))
         from bddist.errors import InvalidInputError
 
         with pytest.raises(InvalidInputError):
-            fit_point(sample, ORIGIN, RULE, "uniform", 1.0, 0, column=col)
+            fit_point(sample, ORIGIN, "uniform", 1.0, 0, column=col)
 
     def test_point_fit_is_frozen(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(-1, 1, (80, 2))
         sample = Sample.from_data(rng.normal(size=80), x, RULE)
-        fit = fit_point(sample, ORIGIN, RULE, "uniform", 1.5, 1)
+        fit = fit_point(sample, ORIGIN, "uniform", 1.5, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             fit.h = 2.0
+
+    def test_control_row_at_the_point_counts_on_side_0(self):
+        # A control observation exactly at the evaluation point scores -0.0;
+        # its side comes from the rule mask, not from the sign of the float.
+        rng = np.random.default_rng(5)
+        x = np.vstack([[-1.0, -1.0], rng.uniform(-1.5, 1.5, (400, 2))])
+        sample = Sample.from_data(rng.normal(size=401), x, RULE)
+        fit = fit_point(sample, (-1.0, -1.0), "uniform", 2.0, 0)
+        near = np.hypot(x[:, 0] + 1.0, x[:, 1] + 1.0) <= 2.0
+        assert fit.fit0.n_eff == np.sum(near & ~RULE.contains(x))
+        assert fit.fit1.n_eff == np.sum(near & RULE.contains(x))
+        assert 0 in fit.fit0.rows and 0 not in fit.fit1.rows
+        assert np.signbit(fit.fit0.distances[0])
 
     def test_error_carries_side(self):
         x = np.array([[0.5, 0.5], [0.7, 0.1], [0.2, 0.9]])
         sample = Sample.from_data(np.ones(3), x, RULE)
         with pytest.raises(InsufficientDataError) as err:
-            fit_point(sample, ORIGIN, RULE, "uniform", 2.0, 0)
+            fit_point(sample, ORIGIN, "uniform", 2.0, 0)
         assert err.value.side == 0
+
+
+def reachable_arrays(obj):
+    """Every numpy array (and its base) reachable through dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        return [obj] + (reachable_arrays(obj.base) if obj.base is not None else [])
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return [a for f in dataclasses.fields(obj)
+                for a in reachable_arrays(getattr(obj, f.name))]
+    return []
+
+
+class TestSupportOnly:
+    def test_point_fit_holds_no_n_length_array(self):
+        # Memory is O(sum of n_eff): with h far below the data spread, a fit
+        # built without a column keeps only rows inside its kernel support.
+        n = 50_000
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-1, 1, (n, 2))
+        sample = Sample.from_data(rng.normal(size=n), x, RULE)
+        fit = fit_point(sample, (0.0, 0.3), "triangular", 0.05, 1)
+        arrays = reachable_arrays(fit)
+        assert arrays
+        assert all(n not in a.shape for a in arrays)
+        support = fit.fit0.n_eff + fit.fit1.n_eff
+        assert max(a.size for a in arrays) <= 1.1 * support
+        for side in (0, 1):
+            sf = fit.side(side)
+            assert (sf.rows.shape == sf.distances.shape == sf.weights.shape
+                    == sf.residuals.shape == (sf.n_eff,))
+            assert np.all(np.diff(sf.rows) > 0)
+            assert np.all(sample.treated[sf.rows] == bool(side))
 
 
 class TestJointScaling:
@@ -212,9 +258,9 @@ class TestJointScaling:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, (200, 2))
         y = rng.normal(size=200) + np.where(RULE.contains(x), 1.0, 0.0)
-        base = fit_point(Sample.from_data(y, x, RULE), (t, 0.0), RULE,
+        base = fit_point(Sample.from_data(y, x, RULE), (t, 0.0),
                          "triangular", h, 1)
-        scaled = fit_point(Sample.from_data(y, c * x, RULE), (c * t, 0.0), RULE,
+        scaled = fit_point(Sample.from_data(y, c * x, RULE), (c * t, 0.0),
                            "triangular", c * h, 1)
         for side in (0, 1):
             assert_allclose(scaled.side(side).gamma_hat, base.side(side).gamma_hat,
@@ -231,12 +277,12 @@ class TestFitGrid:
         # Data only near the origin: the far grid points cannot be fit.
         x = rng.uniform(-0.2, 0.2, (100, 2))
         sample = Sample.from_data(rng.normal(size=100), x, RULE)
-        fits = fit_grid(sample, grid, RULE, "uniform", 0.25, 1)
+        fits = fit_grid(sample, grid, "uniform", 0.25, 1)
         assert isinstance(fits[0], InsufficientDataError)
         assert not isinstance(fits[1], Exception)
         # A bandwidth outcome that is an error is passed through in place.
         err = BandwidthSelectionError("no candidate")
-        fits = fit_grid(sample, grid, RULE, "uniform", [0.25, 0.25, err], 1)
+        fits = fit_grid(sample, grid, "uniform", [0.25, 0.25, err], 1)
         assert fits[2] is err
         assert not isinstance(fits[1], Exception)
 
@@ -247,7 +293,8 @@ class TestFitGrid:
         rng = np.random.default_rng(8)
         x = rng.uniform(-1, 1, (300, 2))
         sample = Sample.from_data(rng.normal(size=300), x, RULE)
-        serial = [f.theta_hat for f in fit_grid(sample, grid, RULE, "uniform", 1.5, 1)]
+        threaded = fit_grid(sample, grid, "uniform", 1.5, 1)
         monkeypatch.delenv("BDD_THREADS")
-        again = [f.theta_hat for f in fit_grid(sample, grid, RULE, "uniform", 1.5, 1)]
-        assert serial == again
+        serial = fit_grid(sample, grid, "uniform", 1.5, 1)
+        assert [f.theta_hat for f in threaded] == [f.theta_hat for f in serial]
+        assert np.array_equal(build_surface(threaded).se, build_surface(serial).se)

@@ -83,7 +83,6 @@ from .locpoly import (
     fit_grid,
     fit_point,
     fit_side,
-    gram,
     scaled_basis,
 )
 from .oracle import (

@@ -61,15 +61,13 @@ def rot_bandwidth_from_scale(scale: float, c0: float, n: int, exponent: float = 
 
 
 def rot_bandwidth(sample, polyline: BoundaryPolyline, c0: float = 1.0,
-                  exponent: float = 0.25, n: int | None = None) -> float:
+                  exponent: float = 0.25) -> float:
     """Rule-of-thumb bandwidth targeting the n^{-1/4} rate (one h for all points).
 
     The exponent override (default 1/4) also serves the undersmoothed
     n^{-1/3} choice used for inference-oriented bandwidths.
     """
-    if n is None:
-        n = len(sample)
-    return rot_bandwidth_from_scale(rot_scale(sample, polyline), c0, n, exponent)
+    return rot_bandwidth_from_scale(rot_scale(sample, polyline), c0, len(sample), exponent)
 
 
 def candidate_bandwidths(column, diameter: float, num: int = 15) -> np.ndarray:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import dataclasses
 import math
 import sys
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     InvalidInputError,
     SingularGramError,
 )
-from .formatting import format_number, write_csv
+from .formatting import format_number, read_json, write_csv
 from .geometry import load_boundary, make_grid
 from .inference import pointwise_ci, uniform_band
 from .kernels import FAMILIES
@@ -58,18 +58,6 @@ DEFAULTS = {
     "dgp": None,
     "s_grid": "0.01:1.0:40",
 }
-
-
-@dataclass
-class RunConfig:
-    command: str
-    values: dict
-
-    def __getattr__(self, name):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 def read_dataset(path):
@@ -137,7 +125,7 @@ def _error_code(err) -> str:
     return "error"
 
 
-def run_estimate(cfg: RunConfig) -> int:
+def run_estimate(cfg: SimpleNamespace) -> int:
     """Per-point estimates, pointwise CIs, and the uniform band, as CSV.
 
     Points whose fit fails are emitted with an error code; the exit status
@@ -209,33 +197,16 @@ def run_estimate(cfg: RunConfig) -> int:
 
 
 def _load_dgp(cfg) -> DgpSpec:
-    spec = default_dgp()
-    overrides = {}
-    if cfg.dgp:
-        with open(cfg.dgp) as fh:
-            overrides.update(json.load(fh))
+    overrides = read_json(cfg.dgp) if cfg.dgp else {}
     if cfg.boundary is not None:
-        polyline, rule = load_boundary(cfg.boundary)
-        overrides["boundary"] = polyline
-        overrides["assignment"] = rule
-    if not overrides:
-        return spec
-    fields = dict(
-        beta0=spec.beta0, beta1=spec.beta1, sigma0=spec.sigma0, sigma1=spec.sigma1,
-        beta_params=spec.beta_params, score_scale=spec.score_scale,
-        score_shift=spec.score_shift, boundary=spec.boundary,
-        assignment=spec.assignment,
-    )
-    unknown = set(overrides) - set(fields)
+        overrides["boundary"], overrides["assignment"] = load_boundary(cfg.boundary)
+    unknown = set(overrides) - {f.name for f in dataclasses.fields(DgpSpec)}
     if unknown:
         raise InvalidInputError(f"unknown DGP override keys: {sorted(unknown)}")
-    fields.update(overrides)
-    for key in ("beta0", "beta1", "beta_params"):
-        fields[key] = tuple(fields[key])
-    return DgpSpec(**fields)
+    return dataclasses.replace(default_dgp(), **overrides)
 
 
-def run_simulate(cfg: RunConfig) -> int:
+def run_simulate(cfg: SimpleNamespace) -> int:
     """Monte Carlo coverage study written as a report CSV."""
     spec = _load_dgp(cfg)
     grid = make_grid(spec.boundary, int(cfg.grid_size))
@@ -252,16 +223,18 @@ def run_simulate(cfg: RunConfig) -> int:
 
 
 def _parse_s_grid(text: str) -> np.ndarray:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InvalidInputError("--s-grid expects start:stop:count or a comma list")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return np.linspace(start, stop, count)
-    return np.asarray([float(v) for v in text.split(",")])
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise InvalidInputError("--s-grid expects start:stop:count or a comma list")
+    try:
+        if len(parts) == 1:
+            return np.asarray([float(v) for v in text.split(",")])
+        return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+    except ValueError as exc:
+        raise InvalidInputError(f"--s-grid {text!r}: {exc}") from None
 
 
-def run_bias_oracle(cfg: RunConfig) -> int:
+def run_bias_oracle(cfg: SimpleNamespace) -> int:
     """Exact fixed-h bias values on a grid of kink distances, as CSV."""
     h = float(cfg.h) if cfg.h is not None else 1.0
     s_values = _parse_s_grid(cfg.s_grid)
@@ -320,13 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
+def build_config(args: argparse.Namespace) -> SimpleNamespace:
     values = dict(DEFAULTS)
     supplied = {k: v for k, v in vars(args).items()
                 if k not in ("command", "config") and v is not None}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_values = json.load(fh)
+        file_values = read_json(args.config)
         unknown = set(file_values) - set(DEFAULTS)
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
@@ -336,7 +308,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise InvalidInputError(f"alpha must be in (0, 1), got {values['alpha']}")
     if int(values["grid_size"]) < 1:
         raise InvalidInputError("grid-size must be >= 1")
-    return RunConfig(args.command, values)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:

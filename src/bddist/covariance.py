@@ -22,6 +22,9 @@ from .errors import DegenerateVarianceError, InvalidInputError, InvalidPairingEr
 from .geometry import EvalGrid
 from .locpoly import PointFit, scaled_basis
 
+# Eigenvalues of the correlation estimate are clipped from below at this floor.
+EIG_FLOOR = 1e-10
+
 
 def influence_values(fit: PointFit, side: int) -> tuple[np.ndarray, np.ndarray]:
     """Influence values phi_i of the side intercept estimate, on its support.
@@ -45,7 +48,8 @@ class CovarianceSurface:
     square-root in the Gaussian band simulation.  ``grid`` is the evaluation
     grid the fits came from when the caller supplied one (its polyline feeds
     the boundary-length warnings; the fits may cover only some of its
-    points), otherwise None.
+    points), otherwise None.  ``regularization_applied`` says whether any
+    eigenvalue of the correlation fell below EIG_FLOOR and was clipped.
     """
 
     grid: EvalGrid | None
@@ -53,7 +57,6 @@ class CovarianceSurface:
     corr: np.ndarray
     factor: np.ndarray
     regularization_applied: bool
-    eig_floor: float
 
     @property
     def se(self) -> np.ndarray:
@@ -61,8 +64,8 @@ class CovarianceSurface:
         return np.sqrt(np.diag(self.xi))
 
 
-def regularize_correlation(corr: np.ndarray, eig_floor: float = 1e-10):
-    """Clip eigenvalues at eig_floor and renormalize the diagonal to one.
+def regularize_correlation(corr: np.ndarray):
+    """Clip eigenvalues at EIG_FLOOR and renormalize the diagonal to one.
 
     Returns (corr, factor, applied): the regularized matrix, a square-root
     factor from the same eigendecomposition, and whether clipping changed
@@ -70,8 +73,8 @@ def regularize_correlation(corr: np.ndarray, eig_floor: float = 1e-10):
     """
     corr = 0.5 * (corr + corr.T)
     eigval, eigvec = np.linalg.eigh(corr)
-    applied = bool(np.any(eigval < eig_floor))
-    clipped = np.maximum(eigval, eig_floor)
+    applied = bool(np.any(eigval < EIG_FLOOR))
+    clipped = np.maximum(eigval, EIG_FLOOR)
     root = eigvec * np.sqrt(clipped)[None, :]
     reg = root @ root.T
     d = 1.0 / np.sqrt(np.diag(reg))
@@ -81,19 +84,18 @@ def regularize_correlation(corr: np.ndarray, eig_floor: float = 1e-10):
     return reg, factor, applied
 
 
-def build_surface(fits: list, *, eig_floor: float = 1e-10,
-                  grid: EvalGrid | None = None) -> CovarianceSurface:
+def build_surface(fits: list, *, grid: EvalGrid | None = None) -> CovarianceSurface:
     """Assemble the covariance surface over all grid fits.
 
     All fits must have succeeded on the same sample; its size n is read from
-    the fits' distance columns.  Per-point bandwidths are allowed.
+    the fits.  Per-point bandwidths are allowed.
     """
     if not fits:
         raise InvalidInputError("no fits supplied")
     if any(not isinstance(f, PointFit) for f in fits):
         raise InvalidInputError("build_surface requires successful fits only")
-    n = len(fits[0].column)
-    if any(len(f.column) != n for f in fits):
+    n = fits[0].n
+    if any(f.n != n for f in fits):
         raise InvalidPairingError("point fits built from different sample sizes")
     M = len(fits)
     xi = np.zeros((M, M))
@@ -113,5 +115,5 @@ def build_surface(fits: list, *, eig_floor: float = 1e-10,
             "needs a nonzero residual with positive weight"
         )
     corr = xi / np.sqrt(diag[:, None] * diag[None, :])
-    corr, factor, applied = regularize_correlation(corr, eig_floor)
-    return CovarianceSurface(grid, xi, corr, factor, applied, eig_floor)
+    corr, factor, applied = regularize_correlation(corr)
+    return CovarianceSurface(grid, xi, corr, factor, applied)

@@ -1,8 +1,19 @@
-"""Number formatting shared by report writers and the CLI."""
+"""Number formatting and file helpers shared by report writers and the CLI."""
 
 from __future__ import annotations
 
+import json
+
 from .errors import InvalidInputError
+
+
+def read_json(path):
+    """Parsed contents of a JSON file; malformed JSON is an InvalidInputError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
 
 
 def format_number(x, precision: str = "human") -> str:

@@ -9,12 +9,12 @@ to the treatment region.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError
+from .formatting import read_json
 
 # Points within this distance of the boundary are assigned to treatment.
 BOUNDARY_TOL = 1e-12
@@ -44,6 +44,14 @@ def _as_points(P) -> np.ndarray:
 
 def _euclidean(P, q):
     return np.hypot(P[..., 0] - q[0], P[..., 1] - q[1])
+
+
+def _segment_distance(P, a, b) -> np.ndarray:
+    """Distance from each point in ``P`` to the closed segment [a, b]."""
+    ab = b - a
+    t = np.clip(((P - a) @ ab) / (ab @ ab), 0.0, 1.0)
+    proj = a + t[:, None] * ab
+    return np.hypot(P[:, 0] - proj[:, 0], P[:, 1] - proj[:, 1])
 
 
 def distance(a, b) -> float:
@@ -153,12 +161,7 @@ class BoundaryPolyline:
         P = _as_points(P)
         best = np.full(len(P), np.inf)
         for a, b in zip(self.vertices[:-1], self.vertices[1:]):
-            ab = b - a
-            denom = ab @ ab
-            t = np.clip(((P - a) @ ab) / denom, 0.0, 1.0)
-            proj = a + t[:, None] * ab
-            d = np.hypot(P[:, 0] - proj[:, 0], P[:, 1] - proj[:, 1])
-            np.minimum(best, d, out=best)
+            np.minimum(best, _segment_distance(P, a, b), out=best)
         return best
 
     def arclength_within(self, center, radius) -> float:
@@ -256,12 +259,8 @@ class PolygonRule:
             with np.errstate(divide="ignore", invalid="ignore"):
                 x_int = a[0] + (y - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
             inside ^= crosses & (x < np.where(crosses, x_int, np.inf))
-            # Edge snap: distance from P to segment [a, b].
-            ab = b - a
-            t = np.clip(((P - a) @ ab) / (ab @ ab), 0.0, 1.0)
-            proj = a + t[:, None] * ab
-            d = np.hypot(x - proj[:, 0], y - proj[:, 1])
-            on_edge |= d <= BOUNDARY_TOL
+            # Edge snap: points within BOUNDARY_TOL of [a, b] count as treated.
+            on_edge |= _segment_distance(P, a, b) <= BOUNDARY_TOL
         return inside | on_edge
 
 
@@ -363,11 +362,7 @@ def load_boundary(source) -> tuple[BoundaryPolyline, AssignmentRule]:
                         or {"polygon": [[x, y], ...]}
         }
     """
-    if isinstance(source, dict):
-        spec = source
-    else:
-        with open(source) as fh:
-            spec = json.load(fh)
+    spec = source if isinstance(source, dict) else read_json(source)
     try:
         vertices = spec["vertices"]
         assignment = spec["assignment"]

@@ -23,7 +23,7 @@ from .locpoly import PointFit
 DEFAULT_NUM_DRAWS = 10000
 
 # Warn when the boundary arc inside a kernel support is this many times h.
-DEFAULT_PERIMETER_MULTIPLE = 20.0
+PERIMETER_MULTIPLE = 20.0
 
 
 class BoundaryLengthWarning(UserWarning):
@@ -137,23 +137,23 @@ class BandResult:
 
 
 def uniform_band(fits: list, surface: CovarianceSurface, alpha: float = 0.05,
-                 num_draws: int = DEFAULT_NUM_DRAWS, seed: int = 0,
-                 perimeter_multiple: float = DEFAULT_PERIMETER_MULTIPLE) -> BandResult:
+                 num_draws: int = DEFAULT_NUM_DRAWS, seed: int = 0) -> BandResult:
     """Simultaneous confidence band over all grid fits.
 
-    Emits BoundaryLengthWarning for evaluation points whose local boundary
-    arc length inside the kernel support exceeds ``perimeter_multiple`` times
-    the bandwidth (the band's validity degrades on very wiggly boundaries).
+    When the surface carries the grid, emits BoundaryLengthWarning for
+    evaluation points whose local boundary arc length inside the kernel
+    support exceeds PERIMETER_MULTIPLE times the bandwidth (the band's
+    validity degrades on very wiggly boundaries).
     """
     if len(fits) != surface.corr.shape[0]:
         raise InvalidInputError("fits and surface have mismatched grid sizes")
     if surface.grid is not None:
         for fit in fits:
             arc = surface.grid.polyline.arclength_within(fit.eval_pt, fit.h)
-            if arc > perimeter_multiple * fit.h:
+            if arc > PERIMETER_MULTIPLE * fit.h:
                 warnings.warn(
                     f"boundary arc length {arc:.3g} inside the kernel support at "
-                    f"{tuple(fit.eval_pt.tolist())} exceeds {perimeter_multiple:g} x h",
+                    f"{tuple(fit.eval_pt.tolist())} exceeds {PERIMETER_MULTIPLE:g} x h",
                     BoundaryLengthWarning,
                     stacklevel=2,
                 )

@@ -11,8 +11,6 @@ inside its kernel support: nothing of length n outlives ``fit_point``.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,19 +65,6 @@ def _gram_from_design(B: np.ndarray, w: np.ndarray, n: int) -> GramMatrix:
     M = 0.5 * (M + M.T)
     eigenvalues, eigenvectors = np.linalg.eigh(M)
     return GramMatrix(M, eigenvalues, eigenvectors)
-
-
-def gram(column: DistanceColumn, side: int, kernel: str, h: float, p: int) -> GramMatrix:
-    """Weighted second-moment matrix; entry (j, k) = E_n[(D/h)^{j+k} K_h(D) 1_side]."""
-    mask = column.side_mask(side)
-    w = kh_weight(kernel, column.values, h) * mask
-    idx = np.flatnonzero(w > 0.0)
-    n = len(column)
-    if idx.size == 0:
-        z = np.zeros((p + 1, p + 1))
-        return GramMatrix(z, np.zeros(p + 1), np.eye(p + 1))
-    B = scaled_basis(column.values[idx] / h, p)
-    return _gram_from_design(B, w[idx], n)
 
 
 @dataclass(frozen=True)
@@ -146,14 +131,16 @@ def fit_side(y, column: DistanceColumn, side: int, kernel: str, h: float, p: int
 class PointFit:
     """Both one-sided fits at one evaluation point plus the effect estimate.
 
-    Standard errors belong to the covariance surface built over the fits.
+    ``n`` is the size of the sample the fits came from; the side fits hold
+    their support rows.  Standard errors belong to the covariance surface
+    built over the fits.
     """
 
     eval_pt: np.ndarray
     h: float
     p: int
     kernel: str
-    column: DistanceColumn
+    n: int
     fit0: SideFit
     fit1: SideFit
 
@@ -180,18 +167,7 @@ def fit_point(sample, eval_pt, kernel: str, h: float, p: int,
         raise InvalidInputError("precomputed column belongs to a different point")
     fit0 = fit_side(sample.y, column, 0, kernel, h, p)
     fit1 = fit_side(sample.y, column, 1, kernel, h, p)
-    return PointFit(as_point(eval_pt), float(h), int(p), kernel, column, fit0, fit1)
-
-
-def worker_count() -> int:
-    """Worker cap from the BDD_THREADS environment variable (default 1)."""
-    raw = os.environ.get("BDD_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InvalidInputError(f"BDD_THREADS must be an integer, got {raw!r}") from None
+    return PointFit(as_point(eval_pt), float(h), int(p), kernel, len(column), fit0, fit1)
 
 
 def fit_grid(sample, grid, kernel: str, bandwidths, p: int) -> list:
@@ -200,8 +176,7 @@ def fit_grid(sample, grid, kernel: str, bandwidths, p: int) -> list:
     ``bandwidths`` is a scalar or one entry per point, such as the outcomes
     of ``resolve_bandwidths``.  Entries of the result are PointFit objects,
     or the raised error for points whose fit failed; an error entry in
-    ``bandwidths`` is passed through as that point's result.  Fits are
-    independent, so they run on a thread pool when BDD_THREADS > 1.
+    ``bandwidths`` is passed through as that point's result.
     """
     hs = np.broadcast_to(np.asarray(bandwidths, dtype=object), (grid.count,))
 
@@ -213,8 +188,4 @@ def fit_grid(sample, grid, kernel: str, bandwidths, p: int) -> list:
         except (InsufficientDataError, SingularGramError, InvalidBandwidthError) as err:
             return err
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(grid.count)))
     return [one(k) for k in range(grid.count)]

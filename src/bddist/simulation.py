@@ -65,6 +65,7 @@ class DgpSpec:
             raise InvalidInputError("Beta parameters must be positive")
         object.__setattr__(self, "beta0", b0)
         object.__setattr__(self, "beta1", b1)
+        object.__setattr__(self, "beta_params", tuple(self.beta_params))
 
     def mean_outcome(self, x, treated) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

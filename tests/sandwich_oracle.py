@@ -15,7 +15,7 @@ from bddist.locpoly import PointFit, scaled_basis
 
 
 def _check_pairing(fit_a: PointFit, fit_b: PointFit, require_same_h: bool = True):
-    if len(fit_a.column) != len(fit_b.column):
+    if fit_a.n != fit_b.n:
         raise InvalidPairingError("point fits built from different sample sizes")
     if fit_a.p != fit_b.p or fit_a.kernel != fit_b.kernel:
         raise InvalidPairingError("point fits use different order or kernel")
@@ -35,7 +35,7 @@ def upsilon(fit_a: PointFit, fit_b: PointFit, side: int) -> np.ndarray:
     """
     _check_pairing(fit_a, fit_b)
     h = fit_a.h
-    n = len(fit_a.column)
+    n = fit_a.n
     sa, sb = fit_a.side(side), fit_b.side(side)
     rows, ia, ib = np.intersect1d(sa.rows, sb.rows, assume_unique=True,
                                   return_indices=True)
@@ -52,7 +52,7 @@ def upsilon(fit_a: PointFit, fit_b: PointFit, side: int) -> np.ndarray:
 def xi_pair(fit_a: PointFit, fit_b: PointFit) -> float:
     """Covariance estimate between theta_hat at two points: both sides summed."""
     _check_pairing(fit_a, fit_b)
-    n = len(fit_a.column)
+    n = fit_a.n
     h = fit_a.h
     total = 0.0
     for side in (0, 1):

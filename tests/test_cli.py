@@ -283,3 +283,20 @@ class TestBadInputs:
         data = write_dataset(tmp_path, n=50)
         assert main(["estimate", "--data", data, "--boundary", boundary_file,
                      "--bw-rule", "fixed"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--config", "{bad}"],
+        ["simulate", "--dgp", "{bad}"],
+        ["simulate", "--boundary", "{bad}"],
+        ["bias-oracle", "--s-grid", "0:1:x"],
+        ["bias-oracle", "--s-grid", "a,b"],
+    ], ids=["config", "dgp", "boundary", "s-grid-count", "s-grid-list"])
+    def test_malformed_input_is_an_error_not_a_traceback(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"sigma0": 0.5,')
+        argv = [str(bad) if a == "{bad}" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        if str(bad) in argv:
+            assert str(bad) in err

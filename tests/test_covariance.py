@@ -18,7 +18,7 @@ def one_sided_point_fit(values, y, kernel="uniform", h=1.0, p=0):
     values = np.asarray(values, dtype=float)
     col = DistanceColumn(np.zeros(2), values, values >= 0.0)
     side1 = fit_side(np.asarray(y, dtype=float), col, 1, kernel, h, p)
-    return PointFit(np.zeros(2), h, p, kernel, col, side1, side1)
+    return PointFit(np.zeros(2), h, p, kernel, len(col), side1, side1)
 
 
 def random_two_sided_sample(rng, n=160):
@@ -189,7 +189,7 @@ class TestRegularization:
         corr = np.array([[1.0, 0.9, 0.2], [0.9, 1.0, 0.9], [0.2, 0.9, 1.0]])
         # This matrix has a negative eigenvalue.
         assert np.linalg.eigvalsh(corr)[0] < 0
-        reg, factor, applied = regularize_correlation(corr, 1e-10)
+        reg, factor, applied = regularize_correlation(corr)
         assert applied
         assert np.linalg.eigvalsh(reg)[0] >= -1e-12
         assert_allclose(np.diag(reg), 1.0)
@@ -197,7 +197,7 @@ class TestRegularization:
 
     def test_psd_input_untouched(self):
         corr = np.array([[1.0, 0.3], [0.3, 1.0]])
-        reg, _, applied = regularize_correlation(corr, 1e-10)
+        reg, _, applied = regularize_correlation(corr)
         assert not applied
         assert_allclose(reg, corr, atol=1e-12)
 

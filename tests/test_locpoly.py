@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from bddist.covariance import build_surface
 from bddist.data import Sample
 from bddist.errors import BandwidthSelectionError, InsufficientDataError, SingularGramError
 from bddist.geometry import QuadrantRule
@@ -16,7 +15,6 @@ from bddist.locpoly import (
     fit_grid,
     fit_point,
     fit_side,
-    gram,
     scaled_basis,
 )
 from bddist.geometry import BoundaryPolyline, make_grid
@@ -31,34 +29,29 @@ def column_from_signed(values):
 
 
 class TestGram:
+    # The Gram matrix does not depend on the outcomes.
     def test_unit_bandwidth_indicator(self):
         col = column_from_signed([0.0, 0.5])
-        g = gram(col, 1, "uniform", 1.0, 0)
+        g = fit_side(np.zeros(len(col)), col, 1, "uniform", 1.0, 0).gram
         assert_allclose(g.matrix, [[1.0]])
 
     def test_half_bandwidth_indicator(self):
         # K_h(0) = K_h(0.5) = 1 / h^2 = 4 with the closed-support indicator
         # kernel (K(1) = 1), so the averaged entry is (4 + 4) / 2 = 4.
         col = column_from_signed([0.0, 0.5])
-        g = gram(col, 1, "uniform", 0.5, 0)
+        g = fit_side(np.zeros(len(col)), col, 1, "uniform", 0.5, 0).gram
         assert_allclose(g.matrix, [[4.0]])
-
-    def test_all_other_side_gives_zero_matrix(self):
-        col = column_from_signed([0.1, 0.2, 0.9])
-        g = gram(col, 0, "uniform", 1.0, 1)
-        assert_allclose(g.matrix, np.zeros((2, 2)))
-        assert g.min_eigenvalue == 0.0
 
     def test_averages_over_full_sample(self):
         # One treated, three control: the treated entry is divided by n = 4.
         col = column_from_signed([0.0, -0.1, -0.2, -0.3])
-        g = gram(col, 1, "uniform", 1.0, 0)
+        g = fit_side(np.zeros(len(col)), col, 1, "uniform", 1.0, 0).gram
         assert_allclose(g.matrix, [[0.25]])
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         col = column_from_signed(rng.uniform(-1, 1, 60))
-        g = gram(col, 1, "triangular", 0.8, 2)
+        g = fit_side(np.zeros(len(col)), col, 1, "triangular", 0.8, 2).gram
         assert np.max(np.abs(g.matrix - g.matrix.T)) < 1e-12
 
 
@@ -285,16 +278,3 @@ class TestFitGrid:
         fits = fit_grid(sample, grid, "uniform", [0.25, 0.25, err], 1)
         assert fits[2] is err
         assert not isinstance(fits[1], Exception)
-
-    def test_respects_thread_env(self, monkeypatch):
-        monkeypatch.setenv("BDD_THREADS", "2")
-        pl = BoundaryPolyline.from_vertices([(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
-        grid = make_grid(pl, 5)
-        rng = np.random.default_rng(8)
-        x = rng.uniform(-1, 1, (300, 2))
-        sample = Sample.from_data(rng.normal(size=300), x, RULE)
-        threaded = fit_grid(sample, grid, "uniform", 1.5, 1)
-        monkeypatch.delenv("BDD_THREADS")
-        serial = fit_grid(sample, grid, "uniform", 1.5, 1)
-        assert [f.theta_hat for f in threaded] == [f.theta_hat for f in serial]
-        assert np.array_equal(build_surface(threaded).se, build_surface(serial).se)

@@ -25,11 +25,23 @@ from .kernels import build_distance_column
 from .locpoly import fit_point
 
 
-def data_diameter(points) -> float:
-    """Largest pairwise distance in a point cloud (via the convex hull)."""
+def _point_cloud(points) -> np.ndarray:
     P = np.asarray(points, dtype=float)
     if len(P) < 2:
         raise InvalidInputError("need at least 2 points for a diameter")
+    return P
+
+
+def coordinate_extent(points) -> float:
+    """Largest per-coordinate range of a point cloud: a lower bound on its
+    diameter that takes one pass over the points and no hull."""
+    P = _point_cloud(points)
+    return max(float(P[:, j].max() - P[:, j].min()) for j in range(P.shape[1]))
+
+
+def data_diameter(points) -> float:
+    """Largest pairwise distance in a point cloud (via the convex hull)."""
+    P = _point_cloud(points)
     try:
         from scipy.spatial import ConvexHull, QhullError
 
@@ -194,13 +206,24 @@ def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline,
     The pilot rules build one distance column per point over every row (the
     candidate grid starts at a percentile of |D| over the whole sample),
     shared by the candidate grid and every pilot fit there.
+
+    The exact data diameter (a convex hull) is computed up front for the
+    pilot rules, whose candidate grids end at half of it.  For ``Fixed`` and
+    ``RuleOfThumb`` it is computed only when some bandwidth is not in
+    (0, largest per-coordinate extent of ``sample.x``]: that extent is a
+    lower bound on the diameter, so a bandwidth inside it passes the check.
     """
-    diameter = data_diameter(sample.x)
+    pilot = isinstance(rule, (MsePilot, KinkAdaptive))
+    # Both calls reject n < 2 before any rule runs.
+    if pilot:
+        diameter = data_diameter(sample.x)
+    else:
+        diameter, extent = None, coordinate_extent(sample.x)
     if isinstance(rule, Fixed):
         outcomes = [float(rule.h)] * grid.count
     elif isinstance(rule, RuleOfThumb):
         outcomes = [rot_bandwidth(sample, polyline, rule.c0, rule.exponent)] * grid.count
-    elif isinstance(rule, (MsePilot, KinkAdaptive)):
+    elif pilot:
         rot_h = (rot_bandwidth(sample, polyline, rule.c0, rule.exponent)
                  if isinstance(rule, KinkAdaptive) else None)
         outcomes = []
@@ -219,6 +242,10 @@ def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline,
     else:
         raise InvalidInputError(f"unknown bandwidth rule: {rule!r}")
     hs = np.array([h for h in outcomes if not isinstance(h, BddistError)])
+    if diameter is None:
+        if np.all((hs > 0.0) & (hs <= extent)):
+            return outcomes
+        diameter = data_diameter(sample.x)
     if np.any(hs <= 0.0) or np.any(hs > diameter):
         raise InvalidBandwidthError(
             f"resolved bandwidths must lie in (0, data diameter = {diameter:.6g}]"

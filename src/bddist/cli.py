@@ -11,7 +11,9 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,29 +62,34 @@ DEFAULTS = {
 }
 
 
-def read_dataset(path):
-    """Read a CSV with columns y, x1, x2 (extra columns ignored).
+_COLUMNS = ("y", "x1", "x2")
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-    Returns (y, x) arrays; the treatment indicator is never read from the
-    file, it is derived later from the boundary's assignment rule.
-    """
+
+def _read_header(reader, path) -> list[int]:
+    """Column indices of y, x1 and x2 in the header row of a csv reader."""
+    try:
+        header = [c.strip() for c in next(reader)]
+    except StopIteration:
+        raise InvalidInputError(f"{path}: empty file") from None
+    for name in _COLUMNS:
+        if name not in header:
+            raise DataSchemaError(name)
+    return [header.index(name) for name in _COLUMNS]
+
+
+def _read_rows(path):
+    """Row-by-row parser behind ``read_dataset``: it defines the accepted
+    input, and every error's class, row number and message."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty file") from None
-        cols = {}
-        for name in ("y", "x1", "x2"):
-            if name not in header:
-                raise DataSchemaError(name)
-            cols[name] = header.index(name)
+        cols = _read_header(reader, path)
         ys, x1s, x2s = [], [], []
         for rownum, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                vals = [float(row[cols[name]]) for name in ("y", "x1", "x2")]
+                vals = [float(row[i]) for i in cols]
             except (ValueError, IndexError) as exc:
                 raise DataParseError(rownum, str(exc)) from None
             if not all(math.isfinite(v) for v in vals):
@@ -93,6 +100,43 @@ def read_dataset(path):
     if not ys:
         raise InvalidInputError(f"{path}: no data rows")
     return np.asarray(ys), np.column_stack([np.asarray(x1s), np.asarray(x2s)])
+
+
+def read_dataset(path):
+    """Read a CSV with columns y, x1, x2 (extra columns ignored).
+
+    The dialect: comma-separated, with a header row naming the columns in
+    any order; any cell may be double-quoted; blank lines are skipped; there
+    are no comment lines.  A non-numeric or non-finite cell raises
+    DataParseError with its row number (the header is row 1).
+
+    Returns (y, x) arrays; the treatment indicator is never read from the
+    file, it is derived later from the boundary's assignment rule.
+
+    One ``np.loadtxt`` call reads a well-formed file.  Anything it rejects,
+    or reads as no rows or as a non-finite value, goes through the row
+    parser instead, so every input gives the same values or the same error
+    either way.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        cols = _read_header(reader, path)
+    # loadtxt skips physical lines, so a quoted newline in the header would
+    # shift it.  It opens a path through numpy's DataSource, which takes a
+    # relative "scheme://..." path for a URL and decompresses these suffixes.
+    abspath = os.path.abspath(path)
+    if reader.line_num == 1 and not abspath.endswith(_COMPRESSED_SUFFIXES):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # empty input
+                table = np.loadtxt(abspath, delimiter=",", skiprows=1, comments=None,
+                                   quotechar='"', usecols=cols, ndmin=2, dtype=float)
+        except ValueError:
+            pass
+        else:
+            if len(table) and np.isfinite(table).all():
+                return np.ascontiguousarray(table[:, 0]), np.ascontiguousarray(table[:, 1:])
+    return _read_rows(path)
 
 
 def _bandwidth_rule(cfg):
@@ -203,7 +247,10 @@ def _load_dgp(cfg) -> DgpSpec:
     unknown = set(overrides) - {f.name for f in dataclasses.fields(DgpSpec)}
     if unknown:
         raise InvalidInputError(f"unknown DGP override keys: {sorted(unknown)}")
-    return dataclasses.replace(default_dgp(), **overrides)
+    try:
+        return dataclasses.replace(default_dgp(), **overrides)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{cfg.dgp}: invalid DGP override ({exc})") from None
 
 
 def run_simulate(cfg: SimpleNamespace) -> int:

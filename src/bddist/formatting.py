@@ -7,13 +7,18 @@ import json
 from .errors import InvalidInputError
 
 
-def read_json(path):
-    """Parsed contents of a JSON file; malformed JSON is an InvalidInputError."""
+def read_json(path) -> dict:
+    """Parsed JSON object of a file; malformed JSON, or a top-level value
+    that is not an object, is an InvalidInputError."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            value = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(value, dict):
+        raise InvalidInputError(
+            f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 def format_number(x, precision: str = "human") -> str:

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from bddist import bandwidth
 from bddist.bandwidth import (
     Fixed,
     KinkAdaptive,
     MsePilot,
     RuleOfThumb,
     candidate_bandwidths,
+    coordinate_extent,
     data_diameter,
     kink_adaptive_bandwidth,
     mse_pilot_bandwidth,
@@ -19,7 +23,7 @@ from bddist.bandwidth import (
     univariate_rescale,
 )
 from bddist.data import Sample
-from bddist.errors import BandwidthSelectionError, InvalidInputError
+from bddist.errors import BandwidthSelectionError, InvalidBandwidthError, InvalidInputError
 from bddist.geometry import BoundaryPolyline, QuadrantRule, make_grid
 from bddist.kernels import build_distance_column
 
@@ -204,8 +208,6 @@ class TestResolve:
         rng = np.random.default_rng(9)
         sample = square_sample(rng, n=100)
         grid = make_grid(self.PL, 2)
-        from bddist.errors import InvalidBandwidthError
-
         with pytest.raises(InvalidBandwidthError):
             resolve_bandwidths(Fixed(50.0), sample, self.PL, grid,
                                "uniform", 1)
@@ -243,3 +245,84 @@ class TestDataDiameter:
     def test_collinear(self):
         pts = np.column_stack([np.linspace(0, 3, 7), np.zeros(7)])
         assert_allclose(data_diameter(pts), 3.0)
+
+    def test_single_point_rejected(self):
+        with pytest.raises(InvalidInputError, match="at least 2 points"):
+            coordinate_extent(np.zeros((1, 2)))
+
+
+COORD = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def point_clouds(draw):
+    """Clouds of n >= 2 points: scattered, collinear or with duplicates."""
+    n = draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["scattered", "collinear", "duplicated"]))
+    if kind == "collinear":
+        t = np.array(draw(st.lists(COORD, min_size=n, max_size=n)))
+        origin = np.array([draw(COORD), draw(COORD)])
+        direction = np.array([draw(COORD), draw(COORD)])
+        return origin + t[:, None] * direction * 1e-6
+    pts = np.array(draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)))
+    if kind == "duplicated":
+        pts = np.vstack([pts, pts[draw(st.integers(0, n - 1))][None, :]])
+    return pts
+
+
+class TestDiameterGuard:
+    PL = BoundaryPolyline.from_vertices([(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(pts=point_clouds())
+    def test_extent_bounds_diameter_from_below(self, pts):
+        assert coordinate_extent(pts) <= data_diameter(pts)
+
+    def sample(self, n=400, seed=12):
+        rng = np.random.default_rng(seed)
+        return square_sample(rng, n=n)
+
+    def test_no_hull_when_extent_bounds_h(self, monkeypatch):
+        def hull_called(points):
+            raise AssertionError("data_diameter called")
+
+        sample = self.sample()
+        grid = make_grid(self.PL, 3)
+        monkeypatch.setattr(bandwidth, "data_diameter", hull_called)
+        assert resolve_bandwidths(Fixed(0.5), sample, self.PL, grid, "uniform", 1) \
+            == [0.5] * 3
+        hs = resolve_bandwidths(RuleOfThumb(c0=2.0), sample, self.PL, grid, "uniform", 1)
+        assert len(hs) == 3
+
+    def test_h_between_extent_and_diameter_passes(self):
+        sample = self.sample()
+        grid = make_grid(self.PL, 2)
+        extent, diameter = coordinate_extent(sample.x), data_diameter(sample.x)
+        assert extent < diameter
+        for h in np.linspace(extent, diameter, 5)[1:]:
+            hs = resolve_bandwidths(Fixed(float(h)), sample, self.PL, grid, "uniform", 1)
+            assert hs == [float(h)] * 2
+
+    def test_h_above_diameter_names_exact_diameter(self):
+        sample = self.sample()
+        grid = make_grid(self.PL, 2)
+        diameter = data_diameter(sample.x)
+        with pytest.raises(InvalidBandwidthError) as err:
+            resolve_bandwidths(Fixed(float(np.nextafter(diameter, np.inf))), sample,
+                               self.PL, grid, "uniform", 1)
+        assert str(err.value) == (
+            f"resolved bandwidths must lie in (0, data diameter = {diameter:.6g}]")
+
+    @pytest.mark.parametrize("rule", [Fixed(0.5), RuleOfThumb(), MsePilot()])
+    def test_single_observation_rejected_before_the_rule_runs(self, rule):
+        sample = Sample.from_data([0.0], [[0.5, 0.5]], RULE)
+        grid = make_grid(self.PL, 2)
+        with pytest.raises(InvalidInputError, match="at least 2 points"):
+            resolve_bandwidths(rule, sample, self.PL, grid, "uniform", 1)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0])
+    def test_nonpositive_h_rejected(self, h):
+        sample = self.sample()
+        grid = make_grid(self.PL, 2)
+        with pytest.raises(InvalidBandwidthError):
+            resolve_bandwidths(Fixed(h), sample, self.PL, grid, "uniform", 1)

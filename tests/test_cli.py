@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bddist.bandwidth import KinkAdaptive, MsePilot, resolve_bandwidths
-from bddist.cli import main, read_dataset
+from bddist.cli import _read_rows, main, read_dataset
 from bddist.data import Sample
 from bddist.errors import DataParseError, DataSchemaError
 from bddist.geometry import QuadrantRule, load_boundary, make_grid
@@ -80,6 +82,114 @@ class TestReadDataset:
         path.write_text("y,x1,x2\n1.0,inf,3.0\n")
         with pytest.raises(DataParseError):
             read_dataset(path)
+
+    def test_quoted_cell_with_delimiters_does_not_shift_columns(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('extra,y,x1,x2\n"a,7,8,9,b",1,2,3\n')
+        y, x = read_dataset(path)
+        assert y.tolist() == [1.0]
+        assert x.tolist() == [[2.0, 3.0]]
+
+    def test_quoted_newline_in_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('y,x1,x2,"a\n1,2,3,b"\n4,5,6,c\n')
+        y, x = read_dataset(path)
+        assert y.tolist() == [4.0]
+        assert x.tolist() == [[5.0, 6.0]]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_under_a_compression_suffix(self, tmp_path, suffix):
+        path = tmp_path / f"d.csv{suffix}"
+        path.write_text("y,x1,x2\n1.0,2.0,3.0\n")
+        y, x = read_dataset(path)
+        assert y.tolist() == [1.0]
+        assert x.tolist() == [[2.0, 3.0]]
+
+    def test_url_like_relative_path_is_read_locally(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "localhost:1").mkdir(parents=True)
+        (tmp_path / "http:" / "localhost:1" / "d.csv").write_text("y,x1,x2\n1,2,3\n")
+        y, x = read_dataset("http://localhost:1/d.csv")
+        assert y.tolist() == [1.0]
+        assert x.tolist() == [[2.0, 3.0]]
+
+    def test_single_row_shapes(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1,x2\n1.0,2.0,3.0\n")
+        y, x = read_dataset(path)
+        assert y.shape == (1,)
+        assert x.shape == (1, 2)
+
+
+def read_outcome(reader, path):
+    """What a reader makes of a file: the arrays as int64 bit patterns, or
+    the error's class, row number and message."""
+    try:
+        y, x = reader(path)
+    except Exception as err:  # any class: the class is what is compared
+        return type(err), getattr(err, "row", None), str(err)
+    return (y.shape, x.shape, y.view(np.int64).tolist(), x.view(np.int64).tolist())
+
+
+MALFORMED = {
+    "whitespace-line": "y,x1,x2\n1,2,3\n   \n4,5,6\n",
+    "short-row": "y,x1,x2\n1,2,3\n4,5\n",
+    "hash-suffix": "y,x1,x2\n1,2,3#c\n",
+    "hash-line": "y,x1,x2\n1,2,3\n# note\n4,5,6\n",
+    "nan": "y,x1,x2\n1,2,3\nnan,5,6\n",
+    "overflow": "y,x1,x2\n1,2,3\n1e400,5,6\n",
+    "infinity": "y,x1,x2\n1,-Infinity,3\n",
+    "hex": "y,x1,x2\n1,2,3\n0x1p3,5,6\n",
+    "fortran-exponent": "y,x1,x2\n1d3,2,3\n",
+    "empty-cell": "y,x1,x2\n1,2,3\n4,,6\n",
+    "no-data-rows": "y,x1,x2\n\n\n",
+    "empty-file": "",
+    "missing-column": "y,x1\n1,2\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_file_fails_as_the_row_parser_does(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    outcome = read_outcome(read_dataset, path)
+    assert issubclass(outcome[0], Exception)
+    assert outcome == read_outcome(_read_rows, path)
+
+
+NUMBER_FORMATS = (repr, "{:.6e}".format, "{:g}".format)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text in the accepted dialect, with y, x1, x2 among extra columns."""
+    names = draw(st.permutations(["y", "x1", "x2", "e1", "e2"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    n = draw(st.integers(1, 8))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    lines = [",".join(names)]
+    for _ in range(n):
+        if draw(st.booleans()):
+            lines.append("")
+        cells = []
+        for name in names:
+            if name.startswith("e"):
+                cells.append(draw(st.sampled_from(["", "a", '"b,c"', '"q""d"', "7"])))
+                continue
+            fmt = draw(st.sampled_from(NUMBER_FORMATS))
+            pad = draw(st.sampled_from(["", " ", "  "]))
+            cell = pad + fmt(draw(finite)) + draw(st.sampled_from(["", " "]))
+            cells.append(f'"{cell}"' if draw(st.booleans()) else cell)
+        lines.append(",".join(cells))
+    return newline.join(lines) + newline
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=csv_texts())
+def test_read_dataset_matches_row_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode())
+    assert read_outcome(read_dataset, path) == read_outcome(_read_rows, path)
 
 
 class TestEstimate:
@@ -284,19 +394,26 @@ class TestBadInputs:
         assert main(["estimate", "--data", data, "--boundary", boundary_file,
                      "--bw-rule", "fixed"]) == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["estimate", "--config", "{bad}"],
-        ["simulate", "--dgp", "{bad}"],
-        ["simulate", "--boundary", "{bad}"],
-        ["bias-oracle", "--s-grid", "0:1:x"],
-        ["bias-oracle", "--s-grid", "a,b"],
-    ], ids=["config", "dgp", "boundary", "s-grid-count", "s-grid-list"])
-    def test_malformed_input_is_an_error_not_a_traceback(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv,content", [
+        (["estimate", "--config", "{bad}"], '{"sigma0": 0.5,'),
+        (["simulate", "--dgp", "{bad}"], '{"sigma0": 0.5,'),
+        (["simulate", "--boundary", "{bad}"], '{"sigma0": 0.5,'),
+        (["bias-oracle", "--s-grid", "0:1:x"], ""),
+        (["bias-oracle", "--s-grid", "a,b"], ""),
+        (["estimate", "--config", "{bad}"], '[{"a": 1}]'),
+        (["simulate", "--dgp", "{bad}"], '[{"a": 1}]'),
+        (["simulate", "--boundary", "{bad}"], '[{"a": 1}]'),
+        (["simulate", "--dgp", "{bad}"], '{"sigma0": "a"}'),
+    ], ids=["config", "dgp", "boundary", "s-grid-count", "s-grid-list",
+            "config-list", "dgp-list", "boundary-list", "dgp-field-type"])
+    def test_malformed_input_is_an_error_not_a_traceback(self, tmp_path, capsys, argv,
+                                                          content):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"sigma0": 0.5,')
+        bad.write_text(content)
         argv = [str(bad) if a == "{bad}" else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert "Traceback" not in err
         if str(bad) in argv:
             assert str(bad) in err

@@ -17,6 +17,7 @@ from .bandwidth import (
     kink_adaptive_bandwidth,
     mse_pilot_bandwidth,
     mse_pilot_objective,
+    mse_pilot_objectives,
     resolve_bandwidths,
     rot_bandwidth,
     rot_bandwidth_from_scale,

@@ -21,7 +21,7 @@ from .errors import (
     InvalidInputError,
 )
 from .geometry import BoundaryPolyline, distance
-from .kernels import build_distance_column
+from .kernels import DistanceColumn, build_distance_column
 from .locpoly import fit_point
 
 
@@ -110,22 +110,45 @@ def mse_pilot_objective(sample, column, kernel: str, p: int, h: float) -> float:
     return bias_proxy * bias_proxy + variance
 
 
+def mse_pilot_objectives(sample, column, kernel: str, p: int, candidates) -> list:
+    """``mse_pilot_objective`` at each candidate, fitted on the rows within it.
+
+    At each candidate h the column's rows with |D| <= h, in ascending row
+    order, form a sub-column of the same n.  It holds every row the kernel
+    weights positively, so both fits see the rows, weights and sums of fits
+    on the whole column, bit for bit, and scan only the support.
+    Returns one entry per candidate: the objective as a float, or the
+    BddistError raised by a fit at that candidate (too few observations, a
+    singular design, a bandwidth that is not positive).
+    """
+    mags = np.abs(column.values)
+    out = []
+    for h in np.asarray(candidates, dtype=float):
+        pos = np.flatnonzero(mags <= h)
+        support = DistanceColumn(column.eval_pt, column.values[pos], column.treated[pos],
+                                 column.rows[pos], len(column))
+        try:
+            out.append(mse_pilot_objective(sample, support, kernel, p, float(h)))
+        except BddistError as err:
+            out.append(err)
+    return out
+
+
 def mse_pilot_bandwidth(sample, column, kernel: str, p: int, candidates) -> float:
     """Candidate bandwidth minimizing the estimated MSE at the column's point.
 
+    The objectives come from ``mse_pilot_objectives``: both fits at a
+    candidate run on the sub-column of rows within it.
     Candidates whose fits fail (too few observations, singular design) are
-    skipped; if every candidate fails the selection fails.
+    skipped, and the first of equal minima wins; if every candidate fails
+    the selection fails.
     """
     candidates = np.asarray(candidates, dtype=float)
     if candidates.size < 5:
         raise InvalidInputError("candidate grid needs >= 5 points")
     best_h, best_val = None, np.inf
-    for h in candidates:
-        try:
-            val = mse_pilot_objective(sample, column, kernel, p, float(h))
-        except BddistError:
-            continue
-        if val < best_val:
+    for h, val in zip(candidates, mse_pilot_objectives(sample, column, kernel, p, candidates)):
+        if not isinstance(val, BddistError) and val < best_val:
             best_h, best_val = float(h), val
     if best_h is None:
         raise BandwidthSelectionError(
@@ -201,11 +224,13 @@ def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline,
     BddistError raised while selecting it at that point (the convention of
     ``fit_grid``).  Failures that concern the whole rule still raise: an
     unknown rule, a degenerate distance scale, or a resolved bandwidth
-    outside (0, data diameter].
+    outside (0, data diameter], NaN included.
 
     The pilot rules build one distance column per point over every row (the
     candidate grid starts at a percentile of |D| over the whole sample),
-    shared by the candidate grid and every pilot fit there.
+    shared by the candidate grid and the pilot there.  At each candidate
+    the pilot's order-p and order-(p+1) fits run on the sub-column of rows
+    within that candidate, not on the whole column.
 
     The exact data diameter (a convex hull) is computed up front for the
     pilot rules, whose candidate grids end at half of it.  For ``Fixed`` and
@@ -246,7 +271,7 @@ def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline,
         if np.all((hs > 0.0) & (hs <= extent)):
             return outcomes
         diameter = data_diameter(sample.x)
-    if np.any(hs <= 0.0) or np.any(hs > diameter):
+    if not np.all((hs > 0.0) & (hs <= diameter)):
         raise InvalidBandwidthError(
             f"resolved bandwidths must lie in (0, data diameter = {diameter:.6g}]"
         )

@@ -80,7 +80,7 @@ class DistanceColumn:
         pt = as_point(self.eval_pt)
         if vals.shape != mask.shape or vals.ndim != 1:
             raise InvalidInputError("values and treated must be equal-length 1-d arrays")
-        if np.any(vals[mask] < 0.0) or np.any(vals[~mask] > 0.0):
+        if np.any((vals < 0.0) & mask) or np.any((vals > 0.0) & ~mask):
             raise InvalidInputError("side mask inconsistent with sign of distances")
         rows = np.arange(len(vals)) if self.rows is None else np.asarray(self.rows)
         n = len(vals) if self.n is None else int(self.n)

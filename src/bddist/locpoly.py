@@ -29,10 +29,19 @@ MIN_GRAM_EIGENVALUE = 1e-10
 
 
 def scaled_basis(u, p: int) -> np.ndarray:
-    """Polynomial basis rows (1, u, ..., u^p) for each entry of u."""
+    """Polynomial basis rows (1, u, ..., u^p) for each entry of u.
+
+    Column j is column j - 1 times u: the products of ``np.vander``, bit
+    for bit, without its slower accumulate.
+    """
     if p < 0:
         raise InvalidInputError(f"polynomial order must be >= 0, got {p}")
-    return np.vander(np.atleast_1d(np.asarray(u, dtype=float)), p + 1, increasing=True)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    B = np.empty((len(u), p + 1))
+    B[:, 0] = 1.0
+    for j in range(1, p + 1):
+        B[:, j] = B[:, j - 1] * u
+    return B
 
 
 @dataclass(frozen=True)
@@ -106,14 +115,14 @@ def fit_side(y, column: DistanceColumn, side: int, kernel: str, h: float, p: int
     n = len(column)
     if y.shape != (n,):
         raise InvalidInputError("y must match the distance column's sample in length")
-    mask = column.side_mask(side)
-    w = kh_weight(kernel, column.values, h) * mask
-    idx = np.flatnonzero(w > 0.0)
+    idx = np.flatnonzero(column.side_mask(side))
+    w = kh_weight(kernel, column.values[idx], h)
+    keep = w > 0.0
+    idx, w = idx[keep], w[keep]
     if idx.size < p + 1:
         raise InsufficientDataError(side, int(idx.size), p + 1)
     d = column.values[idx]
     B = scaled_basis(d / h, p)
-    w = w[idx]
     g = _gram_from_design(B, w, n)
     if g.min_eigenvalue < MIN_GRAM_EIGENVALUE:
         raise SingularGramError(side, g.min_eigenvalue)

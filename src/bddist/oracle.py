@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     InvalidInputError,
@@ -143,6 +142,8 @@ def induced_theta(scene: ArcScene, side: int) -> float:
         x2 = c[1] + r * np.sin(th)
         return scene.mu(x1, x2) * f_x(x1, x2)
 
+    from scipy import integrate
+
     num = den = 0.0
     for lo, hi in arcs:
         v, _ = integrate.quad(weighted, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
@@ -177,6 +178,8 @@ def corner_example_theta(s: float, r: float) -> float:
 def _quad_checked(fn, lo, hi):
     if hi <= lo:
         return 0.0, 0.0
+    from scipy import integrate
+
     val, err = integrate.quad(fn, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=400)
     if err > max(_QUAD_TOL, 1e-8 * abs(val)):
         raise QuadratureError(

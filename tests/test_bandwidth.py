@@ -16,6 +16,7 @@ from bddist.bandwidth import (
     kink_adaptive_bandwidth,
     mse_pilot_bandwidth,
     mse_pilot_objective,
+    mse_pilot_objectives,
     resolve_bandwidths,
     rot_bandwidth,
     rot_bandwidth_from_scale,
@@ -23,9 +24,14 @@ from bddist.bandwidth import (
     univariate_rescale,
 )
 from bddist.data import Sample
-from bddist.errors import BandwidthSelectionError, InvalidBandwidthError, InvalidInputError
+from bddist.errors import (
+    BandwidthSelectionError,
+    BddistError,
+    InvalidBandwidthError,
+    InvalidInputError,
+)
 from bddist.geometry import BoundaryPolyline, QuadrantRule, make_grid
-from bddist.kernels import build_distance_column
+from bddist.kernels import FAMILIES, build_distance_column
 
 RULE = QuadrantRule()
 
@@ -190,6 +196,65 @@ class TestMsePilot:
         assert_allclose(H[-1], 0.5 * data_diameter(sample.x))
 
 
+@st.composite
+def pilot_cases(draw):
+    """A sample, its distance column at the origin and a candidate grid.
+
+    Supports range from two-sided and dense to near-empty (a handful of
+    rows) and one-sided (no control row near the point).  Some candidates
+    equal a row's |D| exactly, so rows sit on the edge of the support.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["two-sided", "near-empty", "one-sided"]))
+    n = draw(st.integers(2, 12)) if kind == "near-empty" else draw(st.integers(10, 400))
+    x = rng.uniform(-1.0, 1.0, (n, 2))
+    if kind == "one-sided":
+        # Control rows move more than 0.8 away from the origin.
+        x = np.where(RULE.contains(x)[:, None], x, x - 0.8)
+    if draw(st.booleans()):
+        x = np.vstack([x, x[: n // 2]])
+    y = rng.normal(size=len(x)) + x[:, 0] ** 2
+    sample = Sample.from_data(y, x, RULE)
+    column = build_distance_column(sample, (0.0, 0.0))
+    mags = np.abs(column.values)
+    num = draw(st.integers(5, 12))
+    H = np.geomspace(draw(st.floats(0.02, 0.5)), draw(st.floats(0.6, 3.0)), num)
+    picks = draw(st.lists(st.integers(0, len(mags) - 1), max_size=3))
+    H = np.concatenate([H, mags[picks][mags[picks] > 0.0]])
+    return sample, column, H
+
+
+def full_column_objectives(sample, column, kernel, p, H):
+    """The reference: each candidate's fits on the whole column."""
+    out = []
+    for h in H:
+        try:
+            out.append(mse_pilot_objective(sample, column, kernel, p, float(h)))
+        except BddistError as err:
+            out.append(err)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pilot_cases(), kernel=st.sampled_from(FAMILIES), p=st.integers(0, 2))
+def test_pilot_objectives_match_full_column_fits(case, kernel, p):
+    sample, column, H = case
+    got = mse_pilot_objectives(sample, column, kernel, p, H)
+    want = full_column_objectives(sample, column, kernel, p, H)
+    assert [type(v) for v in got] == [type(v) for v in want]
+    ok = [not isinstance(v, BddistError) for v in want]
+    assert [v for v, k in zip(got, ok) if k] == [v for v, k in zip(want, ok) if k]
+    best_h, best_val = None, np.inf
+    for h, val, k in zip(H, want, ok):
+        if k and val < best_val:
+            best_h, best_val = float(h), val
+    if best_h is None:
+        with pytest.raises(BandwidthSelectionError):
+            mse_pilot_bandwidth(sample, column, kernel, p, H)
+    else:
+        assert mse_pilot_bandwidth(sample, column, kernel, p, H) == best_h
+
+
 class TestResolve:
     PL = BoundaryPolyline.from_vertices([(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
 
@@ -320,7 +385,7 @@ class TestDiameterGuard:
         with pytest.raises(InvalidInputError, match="at least 2 points"):
             resolve_bandwidths(rule, sample, self.PL, grid, "uniform", 1)
 
-    @pytest.mark.parametrize("h", [0.0, -1.0])
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan])
     def test_nonpositive_h_rejected(self, h):
         sample = self.sample()
         grid = make_grid(self.PL, 2)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,6 +398,15 @@ class TestBadInputs:
         assert main(["estimate", "--data", data, "--boundary", boundary_file,
                      "--bw-rule", "fixed"]) == 1
 
+    @pytest.mark.parametrize("h", ["0", "nan"])
+    def test_fixed_h_outside_range_is_an_error(self, tmp_path, boundary_file, capsys, h):
+        data = write_dataset(tmp_path, n=50)
+        assert main(["estimate", "--data", data, "--boundary", boundary_file,
+                     "--grid-size", "3", "--bw-rule", "fixed", "--h", h,
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: resolved bandwidths must lie in (0, data diameter = ")
+
     @pytest.mark.parametrize("argv,content", [
         (["estimate", "--config", "{bad}"], '{"sigma0": 0.5,'),
         (["simulate", "--dgp", "{bad}"], '{"sigma0": 0.5,'),
@@ -417,3 +430,14 @@ class TestBadInputs:
         assert "Traceback" not in err
         if str(bad) in argv:
             assert str(bad) in err
+
+
+def test_cli_import_leaves_quadrature_unloaded():
+    # Only the bias oracle integrates; estimate and simulate never pay for it.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bddist.cli; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -112,6 +112,12 @@ class TestDistanceColumn:
             DistanceColumn(np.array([0.0, 0.0]), np.array([1.0, -1.0]),
                            np.array([False, True]))
 
+    @pytest.mark.parametrize("treated", [[True, True], [False, False]])
+    def test_one_wrong_side_is_rejected(self, treated):
+        # One row on the wrong side: a negative treated or a positive control.
+        with pytest.raises(InvalidInputError, match="side mask inconsistent"):
+            DistanceColumn(np.zeros(2), np.array([1.0, -1.0]), np.array(treated))
+
     def test_radius_keeps_the_support_rows_bit_for_bit(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(-1, 1, (500, 2))

@@ -16,7 +16,6 @@ from .bandwidth import (
     data_diameter,
     kink_adaptive_bandwidth,
     mse_pilot_bandwidth,
-    mse_pilot_objective,
     mse_pilot_objectives,
     resolve_bandwidths,
     rot_bandwidth,

@@ -10,19 +10,21 @@ bandwidth at the distance to the nearest kink, floored at the rule of thumb.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .covariance import influence_values
 from .errors import (
     BandwidthSelectionError,
     BddistError,
+    InsufficientDataError,
     InvalidBandwidthError,
     InvalidInputError,
+    SingularGramError,
 )
 from .geometry import BoundaryPolyline, distance
-from .kernels import DistanceColumn, build_distance_column
-from .locpoly import fit_point
+from .kernels import build_distance_column, kh_weight
+from .locpoly import MIN_GRAM_EIGENVALUE, GramMatrix, scaled_basis
 
 
 def _point_cloud(points) -> np.ndarray:
@@ -98,50 +100,138 @@ def candidate_bandwidths(column, diameter: float, num: int = 15) -> np.ndarray:
     return np.geomspace(lo, hi, num)
 
 
-def mse_pilot_objective(sample, column, kernel: str, p: int, h: float) -> float:
-    """Estimated MSE at bandwidth h: squared order-(p+1) vs order-p fit gap
-    plus the variance estimate of the order-p fit."""
-    fit_p = fit_point(sample, column.eval_pt, kernel, h, p, column=column)
-    fit_p1 = fit_point(sample, column.eval_pt, kernel, h, p + 1, column=column)
-    bias_proxy = fit_p.theta_hat - fit_p1.theta_hat
+class _SidePilot(NamedTuple):
+    """One side's pilot sums at every candidate bandwidth h_k.
+
+    The side's rows are ordered by |D|, so the kernel support at h_k is the
+    prefix of length ``ends[k]``.  ``weights`` holds K_h(D) on each prefix
+    and ``counts`` its positive entries.  ``moments`` holds
+    n^{-1} sum_i w_i (D_i/h)^j for j <= 2p + 2 and ``scores``
+    n^{-1} sum_i w_i y_i (D_i/h)^j for j <= p + 1, one row per candidate.
+    Column j of ``table`` is (D/h_max)^j, aligned with the ordered ``y``.
+    """
+
+    ends: np.ndarray
+    weights: list
+    counts: np.ndarray
+    moments: np.ndarray
+    scores: np.ndarray
+    table: np.ndarray
+    y: np.ndarray
+
+
+def _side_pilot(column, y, side: int, kernel: str, hs: np.ndarray, p: int) -> _SidePilot:
+    """Sort one side by |D| once and sum every candidate's prefix of one
+    table of powers (D/h_max)^j, each entry in [-1, 1]; the sums at h are
+    rescaled by (h_max/h)^j."""
+    idx = np.flatnonzero(column.side_mask(side))
+    mags = np.abs(column.values[idx])
+    # Rows tied in |D| may come in any order: a prefix ends after all of them.
+    order = np.argsort(mags)
+    idx, mags = idx[order], mags[order]
+    d, y = column.values[idx], y[column.rows[idx]]
+    ends = np.searchsorted(mags, hs, side="right")
+    h_max = hs.max()
+    table = scaled_basis(d / h_max, 2 * p + 2)
+    y_table = table[:, :p + 2] * y[:, None]
+    weights = [kh_weight(kernel, d[:m], h) for h, m in zip(hs, ends)]
+    counts = np.array([np.count_nonzero(w > 0.0) for w in weights])
+    ratio = (h_max / hs)[:, None]
     n = len(column)
-    (_, phi0), (_, phi1) = (influence_values(fit_p, side) for side in (0, 1))
-    variance = float(phi0 @ phi0 + phi1 @ phi1) / (n * n)
-    return bias_proxy * bias_proxy + variance
+    moments = np.array([w @ table[:m] for w, m in zip(weights, ends)])
+    moments *= ratio ** np.arange(2 * p + 3) / n
+    scores = np.array([w @ y_table[:m] for w, m in zip(weights, ends)])
+    scores *= ratio ** np.arange(p + 2) / n
+    return _SidePilot(ends, weights, counts, moments, scores, table, y)
+
+
+def _pilot_failure(counts, min_eigenvalues, p: int):
+    """The error ``fit_point`` raises first at one candidate, or None.
+
+    ``counts`` holds the positive weights per side and ``min_eigenvalues``
+    the smallest Gram eigenvalue per side for order p, then order p + 1:
+    the checks of ``fit_side`` in the order the two fits make them.
+    """
+    for q, min_eig in zip((p, p + 1), min_eigenvalues):
+        for side in (0, 1):
+            if counts[side] < q + 1:
+                return InsufficientDataError(side, int(counts[side]), q + 1)
+            if min_eig[side] < MIN_GRAM_EIGENVALUE:
+                return SingularGramError(side, float(min_eig[side]))
+    return None
 
 
 def mse_pilot_objectives(sample, column, kernel: str, p: int, candidates) -> list:
-    """``mse_pilot_objective`` at each candidate, fitted on the rows within it.
+    """Estimated MSE at each candidate bandwidth, in one pass per side.
 
-    At each candidate h the column's rows with |D| <= h, in ascending row
-    order, form a sub-column of the same n.  It holds every row the kernel
-    weights positively, so both fits see the rows, weights and sums of fits
-    on the whole column, bit for bit, and scan only the support.
+    The objective at h is the squared gap between the order-(p+1) and the
+    order-p effect estimates plus the variance estimate of the order-p fit,
+    n^{-2} sum over both sides of phi_i^2, phi_i = l_i w_i (y_i - f_i) with
+    l the basis times Psi^{-1} e1 and f the order-p fitted values.
+
+    No fit is run.  Each side orders its rows by |D| once and builds one
+    table of powers of D (``_side_pilot``); every candidate's Gram moments
+    (G_jk = mu_{j+k}) and scores of both orders are then one product each
+    over the prefix of rows within it, and the Grams of each order go
+    through one batched eigendecomposition.  Sums of phi_i^2 run over the
+    residuals themselves, not over moments of y^2, so an affine change of
+    y keeps its digits.
+
     Returns one entry per candidate: the objective as a float, or the
-    BddistError raised by a fit at that candidate (too few observations, a
-    singular design, a bandwidth that is not positive).
+    BddistError that the order-p or order-(p+1) fit would raise there: a
+    bandwidth that is not positive, or on a side too few positively
+    weighted rows or a Gram eigenvalue below MIN_GRAM_EIGENVALUE, checked
+    in the order ``fit_point`` checks them.
     """
-    mags = np.abs(column.values)
-    out = []
-    for h in np.asarray(candidates, dtype=float):
-        pos = np.flatnonzero(mags <= h)
-        support = DistanceColumn(column.eval_pt, column.values[pos], column.treated[pos],
-                                 column.rows[pos], len(column))
-        try:
-            out.append(mse_pilot_objective(sample, support, kernel, p, float(h)))
-        except BddistError as err:
-            out.append(err)
+    candidates = np.asarray(candidates, dtype=float)
+    out = [None] * candidates.size
+    valid = np.isfinite(candidates) & (candidates > 0.0)
+    for k in np.flatnonzero(~valid):
+        out[k] = InvalidBandwidthError(f"bandwidth must be positive, got {candidates[k]}")
+    valid = np.flatnonzero(valid)
+    if valid.size == 0:
+        return out
+    hs = candidates[valid]
+    sides = [_side_pilot(column, sample.y, t, kernel, hs, p) for t in (0, 1)]
+    # Axes: candidate, side, then the Gram's rows and columns.
+    counts = np.stack([s.counts for s in sides], axis=1)
+    hankel = np.add.outer(np.arange(p + 2), np.arange(p + 2))
+    grams = np.stack([s.moments[:, hankel] for s in sides], axis=1)
+    scores = np.stack([s.scores for s in sides], axis=1)
+    lam_p, vec_p = np.linalg.eigh(grams[..., :p + 1, :p + 1])
+    lam_p1, vec_p1 = np.linalg.eigh(grams)
+    powers = (hs.max() / hs)[:, None] ** np.arange(p + 1)
+    n = len(column)
+    for k in range(hs.size):
+        err = _pilot_failure(counts[k], (lam_p[k, :, 0], lam_p1[k, :, 0]), p)
+        if err is not None:
+            out[valid[k]] = err
+            continue
+        intercepts, variance = np.empty((2, 2)), 0.0  # rows: order p, order p + 1
+        for t, s in enumerate(sides):
+            g_p = GramMatrix(grams[k, t, :p + 1, :p + 1], lam_p[k, t], vec_p[k, t])
+            g_p1 = GramMatrix(grams[k, t], lam_p1[k, t], vec_p1[k, t])
+            gamma = g_p.solve(scores[k, t, :p + 1])
+            intercepts[:, t] = gamma[0], g_p1.solve(scores[k, t])[0]
+            m = s.ends[k]
+            lf = s.table[:m, :p + 1] @ (np.column_stack([g_p.inv_e1(), gamma])
+                                         * powers[k][:, None])
+            phi = lf[:, 0] * s.weights[k] * (s.y[:m] - lf[:, 1])
+            variance += float(phi @ phi)
+        theta_p, theta_p1 = intercepts[:, 1] - intercepts[:, 0]
+        gap = theta_p - theta_p1
+        out[valid[k]] = float(gap * gap) + variance / (n * n)
     return out
 
 
 def mse_pilot_bandwidth(sample, column, kernel: str, p: int, candidates) -> float:
     """Candidate bandwidth minimizing the estimated MSE at the column's point.
 
-    The objectives come from ``mse_pilot_objectives``: both fits at a
-    candidate run on the sub-column of rows within it.
-    Candidates whose fits fail (too few observations, singular design) are
-    skipped, and the first of equal minima wins; if every candidate fails
-    the selection fails.
+    The objectives come from ``mse_pilot_objectives``: one pass per side
+    over one table of powers of D serves every candidate, with no fit.
+    Candidates where a fit would fail (too few observations, singular
+    design) are skipped, and the first of equal minima wins; if every
+    candidate fails the selection fails.
     """
     candidates = np.asarray(candidates, dtype=float)
     if candidates.size < 5:
@@ -228,9 +318,9 @@ def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline,
 
     The pilot rules build one distance column per point over every row (the
     candidate grid starts at a percentile of |D| over the whole sample),
-    shared by the candidate grid and the pilot there.  At each candidate
-    the pilot's order-p and order-(p+1) fits run on the sub-column of rows
-    within that candidate, not on the whole column.
+    shared by the candidate grid and the pilot there.  The pilot orders
+    each side of the column by |D| once and takes every candidate's
+    objective from one table of powers of D (``mse_pilot_objectives``).
 
     The exact data diameter (a convex hull) is computed up front for the
     pilot rules, whose candidate grids end at half of it.  For ``Fixed`` and

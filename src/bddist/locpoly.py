@@ -69,8 +69,9 @@ class GramMatrix:
         return self.eigenvectors @ (self.eigenvectors[0, :] / self.eigenvalues)
 
 
-def _gram_from_design(B: np.ndarray, w: np.ndarray, n: int) -> GramMatrix:
-    M = (B * w[:, None]).T @ B / n
+def _gram_from_design(B: np.ndarray, Bw: np.ndarray, n: int) -> GramMatrix:
+    """Gram of design B from its weighted copy Bw = B * w[:, None]."""
+    M = Bw.T @ B / n
     M = 0.5 * (M + M.T)
     eigenvalues, eigenvectors = np.linalg.eigh(M)
     return GramMatrix(M, eigenvalues, eigenvectors)
@@ -123,12 +124,13 @@ def fit_side(y, column: DistanceColumn, side: int, kernel: str, h: float, p: int
         raise InsufficientDataError(side, int(idx.size), p + 1)
     d = column.values[idx]
     B = scaled_basis(d / h, p)
-    g = _gram_from_design(B, w, n)
+    Bw = B * w[:, None]
+    g = _gram_from_design(B, Bw, n)
     if g.min_eigenvalue < MIN_GRAM_EIGENVALUE:
         raise SingularGramError(side, g.min_eigenvalue)
     rows = column.rows[idx]
     y = y[rows]
-    s = (B * w[:, None]).T @ y / n
+    s = Bw.T @ y / n
     gamma = g.solve(s)
     residuals = y - B @ gamma
     for arr in (rows, d, w, residuals):

@@ -109,8 +109,8 @@ class TestFitSide:
         B = scaled_basis(rng.uniform(0, 1, 30), 1)
         w = rng.uniform(0.1, 1.0, 30)
         y = rng.normal(size=30)
-        g1 = _gram_from_design(B, w, 30)
-        g2 = _gram_from_design(B, 7.5 * w, 30)
+        g1 = _gram_from_design(B, B * w[:, None], 30)
+        g2 = _gram_from_design(B, B * (7.5 * w)[:, None], 30)
         s1 = (B * w[:, None]).T @ y / 30
         assert_allclose(g1.solve(s1), g2.solve(7.5 * s1), rtol=1e-12)
 

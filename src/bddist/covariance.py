@@ -101,7 +101,10 @@ def build_surface(fits: list, *, grid: EvalGrid | None = None) -> CovarianceSurf
     xi = np.zeros((M, M))
     for side in (0, 1):
         pieces = [influence_values(f, side) for f in fits]
-        union = np.unique(np.concatenate([rows for rows, _ in pieces]))
+        in_union = np.zeros(n, dtype=bool)
+        for rows, _ in pieces:
+            in_union[rows] = True
+        union = np.flatnonzero(in_union)
         phi = np.zeros((M, union.size))
         for k, (rows, values) in enumerate(pieces):
             phi[k, np.searchsorted(union, rows)] = values

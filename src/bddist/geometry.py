@@ -22,13 +22,17 @@ BOUNDARY_TOL = 1e-12
 # Default turning angle (radians) above which an interior vertex is a kink.
 DEFAULT_KINK_ANGLE_TOL = 0.05
 
+# Rows per block in the passes over the whole sample: the (block, 2) points
+# and a few block-length temporaries stay in a core's L2 cache.
+ROW_BLOCK = 32768
+
 
 def as_point(p) -> np.ndarray:
     """Coerce to a finite (2,) float array, raising on anything else."""
     arr = np.asarray(p, dtype=float)
     if arr.shape != (2,):
         raise InvalidInputError(f"expected a 2-d point, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"point has non-finite coordinates: {arr}")
     return arr
 
@@ -37,9 +41,21 @@ def _as_points(P) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(P, dtype=float))
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidInputError(f"expected an (n, 2) point array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("point array has non-finite coordinates")
     return arr
+
+
+def row_blocks(n: int) -> list:
+    """Slices of ROW_BLOCK rows that cover range(n), in order.
+
+    A last block of one row joins the block before it: a one-row matrix
+    product takes another BLAS path, whose sums can differ in the last bit.
+    """
+    starts = list(range(0, n, ROW_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def _euclidean(P, q):
@@ -50,8 +66,7 @@ def _segment_distance(P, a, b) -> np.ndarray:
     """Distance from each point in ``P`` to the closed segment [a, b]."""
     ab = b - a
     t = np.clip(((P - a) @ ab) / (ab @ ab), 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.hypot(P[:, 0] - proj[:, 0], P[:, 1] - proj[:, 1])
+    return np.hypot(P[:, 0] - (a[0] + t * ab[0]), P[:, 1] - (a[1] + t * ab[1]))
 
 
 def distance(a, b) -> float:
@@ -157,35 +172,48 @@ class BoundaryPolyline:
         return pts[0] if scalar else pts
 
     def distance_to(self, P) -> np.ndarray:
-        """Euclidean distance from each point in ``P`` to the polyline."""
+        """Euclidean distance from each point in ``P`` to the polyline.
+
+        The rows are walked in the blocks of ``row_blocks``, with the segment
+        loop inside each block; every row's arithmetic is the same in any
+        block, so the result does not depend on the blocking.
+        """
         P = _as_points(P)
         best = np.full(len(P), np.inf)
-        for a, b in zip(self.vertices[:-1], self.vertices[1:]):
-            np.minimum(best, _segment_distance(P, a, b), out=best)
+        for rows in row_blocks(len(P)):
+            for a, b in zip(self.vertices[:-1], self.vertices[1:]):
+                np.minimum(best[rows], _segment_distance(P[rows], a, b), out=best[rows])
         return best
+
+    def arclengths_within(self, centers, radii) -> np.ndarray:
+        """Polyline arc length inside the closed disk around each center.
+
+        One pass over the segments, vectorized over the (center, radius)
+        pairs: segment [a, b] meets the circle |a + t (b - a) - c| = r at the
+        roots of a quadratic in t, and the part with t in [0, 1] between
+        them lies inside the disk.  A nonpositive radius gives 0.
+        """
+        C = _as_points(centers)
+        r = np.asarray(radii, dtype=float).reshape(-1)
+        if len(r) != len(C):
+            raise InvalidInputError("need one radius per center")
+        a = self.vertices[:-1]
+        ab = np.diff(self.vertices, axis=0)
+        qa = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
+        ac0 = a[:, 0] - C[:, 0, None]
+        ac1 = a[:, 1] - C[:, 1, None]
+        qb = 2.0 * (ac0 * ab[:, 0] + ac1 * ab[:, 1])
+        qc = ac0 * ac0 + ac1 * ac1 - (r * r)[:, None]
+        disc = qb * qb - 4.0 * qa * qc
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        lo = np.maximum((-qb - sq) / (2.0 * qa), 0.0)
+        hi = np.minimum((-qb + sq) / (2.0 * qa), 1.0)
+        inside = (disc > 0.0) & (hi > lo) & (r > 0.0)[:, None]
+        return np.where(inside, (hi - lo) * np.sqrt(qa), 0.0).sum(axis=1)
 
     def arclength_within(self, center, radius) -> float:
         """Total polyline arc length inside the closed disk around ``center``."""
-        c = as_point(center)
-        if radius <= 0:
-            return 0.0
-        total = 0.0
-        r2 = radius * radius
-        for a, b in zip(self.vertices[:-1], self.vertices[1:]):
-            ab = b - a
-            qa = ab @ ab
-            qb = 2.0 * ((a - c) @ ab)
-            qc = (a - c) @ (a - c) - r2
-            disc = qb * qb - 4.0 * qa * qc
-            if disc <= 0.0:
-                continue
-            sq = np.sqrt(disc)
-            t1 = (-qb - sq) / (2.0 * qa)
-            t2 = (-qb + sq) / (2.0 * qa)
-            lo, hi = max(t1, 0.0), min(t2, 1.0)
-            if hi > lo:
-                total += (hi - lo) * np.sqrt(qa)
-        return float(total)
+        return float(self.arclengths_within(as_point(center)[None, :], [radius])[0])
 
 
 # ---------------------------------------------------------------------------

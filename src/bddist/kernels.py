@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBandwidthError, InvalidInputError
-from .geometry import as_point, signed_distances
+from .geometry import ROW_BLOCK, as_point, row_blocks, signed_distances
 
 FAMILIES = ("uniform", "triangular", "epanechnikov")
 
@@ -36,7 +36,7 @@ def kernel_eval(family: str, u) -> np.ndarray | float:
     _check_family(family)
     scalar = np.ndim(u) == 0
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise InvalidInputError("kernel argument must be finite")
     a = np.abs(u)
     if family == "uniform":
@@ -80,12 +80,12 @@ class DistanceColumn:
         pt = as_point(self.eval_pt)
         if vals.shape != mask.shape or vals.ndim != 1:
             raise InvalidInputError("values and treated must be equal-length 1-d arrays")
-        if np.any((vals < 0.0) & mask) or np.any((vals > 0.0) & ~mask):
+        if ((vals < 0.0) & mask).any() or ((vals > 0.0) & ~mask).any():
             raise InvalidInputError("side mask inconsistent with sign of distances")
         rows = np.arange(len(vals)) if self.rows is None else np.asarray(self.rows)
         n = len(vals) if self.n is None else int(self.n)
-        if (rows.shape != vals.shape or np.any(np.diff(rows) <= 0)
-                or np.any((rows < 0) | (rows >= n))):
+        if (rows.shape != vals.shape or (np.diff(rows) <= 0).any()
+                or ((rows < 0) | (rows >= n)).any()):
             raise InvalidInputError(f"rows must be ascending indices into {n} sample rows, "
                                     "one per value")
         for arr in (vals, mask, pt, rows):
@@ -109,16 +109,34 @@ class DistanceColumn:
 def build_distance_column(sample, eval_pt, radius: float = np.inf) -> DistanceColumn:
     """Signed distance column of the sample rows within ``radius`` of a point.
 
-    One vectorized pass over the squared distances keeps every row within
-    radius (1 + 1e-9), a margin that absorbs their rounding, so no row inside
-    the kernel support of a bandwidth h = radius is lost.  Distances of the
-    kept rows come from the same formula as an unrestricted column, bit for
-    bit; the side comes from ``sample.treated``.
+    One pass over the squared distances keeps every row within radius
+    (1 + 1e-9), a margin that absorbs their rounding, so no row inside the
+    kernel support of a bandwidth h = radius is lost.  The pass walks the
+    rows in the blocks of ``row_blocks`` through two reused block buffers;
+    each row's arithmetic is the same in any block, so the kept rows do not
+    depend on the blocking.  A radius of inf keeps every row with no scan.
+    Distances of the kept rows come from the same formula as an unrestricted
+    column, bit for bit; the side comes from ``sample.treated``.
     """
     x = sample.x
     pt = as_point(eval_pt)
-    dx, dy = x[:, 0] - pt[0], x[:, 1] - pt[1]
-    rows = np.flatnonzero(dx * dx + dy * dy <= (radius * (1.0 + 1e-9)) ** 2)
+    if radius == np.inf:
+        rows = np.arange(len(x))
+    else:
+        r2 = (radius * (1.0 + 1e-9)) ** 2
+        keep = np.empty(len(x), dtype=bool)
+        dx = np.empty(min(len(x), ROW_BLOCK + 1))
+        dy = np.empty_like(dx)
+        for block in row_blocks(len(x)):
+            m = block.stop - block.start
+            bx, by = dx[:m], dy[:m]
+            np.subtract(x[block, 0], pt[0], out=bx)
+            np.subtract(x[block, 1], pt[1], out=by)
+            np.multiply(bx, bx, out=bx)
+            np.multiply(by, by, out=by)
+            np.add(bx, by, out=bx)
+            np.less_equal(bx, r2, out=keep[block])
+        rows = np.flatnonzero(keep)
     treated = sample.treated[rows]
     values = signed_distances(x[rows], pt, treated)
     return DistanceColumn(pt, values, treated, rows, len(x))

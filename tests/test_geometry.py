@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from bddist.errors import InvalidInputError
 from bddist.geometry import (
+    ROW_BLOCK,
     BoundaryPolyline,
     PolygonRule,
     QuadrantRule,
@@ -20,6 +21,17 @@ from bddist.geometry import (
 
 def l_shape():
     return BoundaryPolyline.from_vertices([(0, 2), (0, 0), (2, 0)])
+
+
+def one_shot_distance(pl, P):
+    """Distance to the polyline in one pass over all rows per segment."""
+    best = np.full(len(P), np.inf)
+    for a, b in zip(pl.vertices[:-1], pl.vertices[1:]):
+        ab = b - a
+        t = np.clip(((P - a) @ ab) / (ab @ ab), 0.0, 1.0)
+        proj = a + t[:, None] * ab
+        np.minimum(best, np.hypot(P[:, 0] - proj[:, 0], P[:, 1] - proj[:, 1]), out=best)
+    return best
 
 
 class TestDistance:
@@ -106,11 +118,45 @@ class TestPolyline:
         assert_allclose(pl.distance_to([[1.0, 1.0]]), [1.0])
         assert_allclose(pl.distance_to([[-1.0, 3.0]]), [np.sqrt(2.0)])
 
+    def test_distance_to_matches_the_one_shot_pass(self):
+        # More than two row blocks; rows on the polyline sit either side of
+        # each block edge.
+        pl = BoundaryPolyline.from_vertices([(0, 30), (0, 0), (30, 0), (40, 25)])
+        P = np.random.default_rng(3).uniform(-25, 75, (70001, 2))
+        for edge in (ROW_BLOCK, 2 * ROW_BLOCK):
+            P[edge - 1:edge + 1] = [(0.0, 12.5), (17.5, 0.0)]
+        d = pl.distance_to(P)
+        assert np.array_equal(d, one_shot_distance(pl, P))
+        assert not d[[ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK - 1, 2 * ROW_BLOCK]].any()
+
+    def test_one_row_last_block_keeps_the_one_shot_bits(self):
+        # A one-row product takes another BLAS path, which rounds t
+        # differently for some points near a slanted segment (about one in
+        # eight); the last row must join the block before it.
+        pl = BoundaryPolyline.from_vertices([(0, 30), (0, 0), (30, 0), (40, 25)])
+        P = np.random.default_rng(4).uniform(-25, 75, (2 * ROW_BLOCK + 1, 2))
+        a, ab, normal = np.array([30.0, 0.0]), np.array([10.0, 25.0]), np.array([25.0, -10.0])
+        for t in np.linspace(0.05, 0.95, 40):
+            P[-1] = a + t * ab + 1e-5 * normal
+            assert pl.distance_to(P)[-1] == one_shot_distance(pl, P)[-1]
+
     def test_arclength_within_straight_segment(self):
         pl = BoundaryPolyline(np.array([[-5.0, 0.0], [5.0, 0.0]]))
         assert_allclose(pl.arclength_within((0, 0), 2.0), 4.0)
         assert_allclose(pl.arclength_within((0, 1.0), 2.0), 2 * np.sqrt(3.0))
         assert pl.arclength_within((0, 3.0), 2.0) == 0.0
+
+    def test_arclengths_within_many_disks(self):
+        # Disks around the kink, tangent to a segment, missing the polyline,
+        # covering all of it, and of radius 0, in one pass.
+        pl = l_shape()
+        centers = [(0, 0), (0.5, 0.5), (1.0, 1.0), (5.0, 5.0), (0, 0), (1.0, 1.0)]
+        radii = [1.5, 1.0, 1.0, 0.5, 0.0, 10.0]
+        expected = [3.0, 1.0 + 2 * np.sqrt(0.75), 0.0, 0.0, 0.0, 4.0]
+        assert_allclose(pl.arclengths_within(centers, radii), expected, rtol=1e-14)
+        assert pl.arclength_within((0.5, 0.5), 1.0) == pl.arclengths_within(centers, radii)[1]
+        with pytest.raises(InvalidInputError, match="one radius per center"):
+            pl.arclengths_within(centers, radii[:-1])
 
 
 class TestKinkDetection:

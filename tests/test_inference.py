@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bddist.covariance import build_surface
+from bddist.covariance import build_surface, regularize_correlation
 from bddist.data import Sample
 from bddist.errors import InvalidInputError, InvalidLevelError
 from bddist.geometry import BoundaryPolyline, QuadrantRule, make_grid
 from bddist.inference import (
+    DRAW_BUFFER_BYTES,
     BoundaryLengthWarning,
+    _draw_maxima,
     normal_quantile,
     pointwise_ci,
     uniform_band,
@@ -79,6 +81,19 @@ class TestPointwiseCI:
                 pointwise_ci(fit, se, 0.05)
 
 
+def ar1_correlation(M):
+    """Correlation 0.6^|j - k| and its square-root factor, not diagonal."""
+    lag = np.abs(np.subtract.outer(np.arange(M), np.arange(M)))
+    corr, factor, _ = regularize_correlation(0.6 ** lag)
+    return corr, factor
+
+
+def one_shot_maxima(factor, num_draws, seed):
+    """Per-draw max |coordinate| from one (num_draws, M) draw and one product."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    return np.abs(rng.standard_normal((num_draws, len(factor))) @ factor.T).max(axis=1)
+
+
 class TestUniformQuantile:
     def test_single_point_matches_normal(self):
         q = uniform_quantile(np.eye(1), 0.05, num_draws=100000, seed=1)
@@ -93,8 +108,6 @@ class TestUniformQuantile:
 
     def test_two_perfectly_correlated(self):
         corr = np.ones((2, 2))
-        from bddist.covariance import regularize_correlation
-
         reg, factor, _ = regularize_correlation(corr)
         q = uniform_quantile(reg, 0.05, num_draws=100000, seed=3, factor=factor)
         assert abs(q - 1.96) < 0.03
@@ -132,12 +145,31 @@ class TestUniformQuantile:
         with pytest.raises(InvalidInputError):
             uniform_quantile(corr, 0.05, num_draws=2000)
 
-    def test_order_statistic_convention(self):
-        # ceil((1 - alpha) * num_draws)-th order statistic, conservative ties.
-        q1 = uniform_quantile(np.eye(1), 0.05, num_draws=1000, seed=9)
-        rng = np.random.Generator(np.random.Philox(9))
-        vals = np.sort(np.abs(rng.standard_normal((1000, 1))).max(axis=1))
-        assert q1 == vals[math.ceil(0.95 * 1000) - 1]
+    @pytest.mark.parametrize("M", [1, 21])
+    @pytest.mark.parametrize("num_draws", [1000, 1024, 1025, 10000, 70001])
+    def test_order_statistic_convention(self, num_draws, M):
+        # ceil((1 - alpha) * num_draws)-th order statistic, conservative ties,
+        # of one (num_draws, M) draw mapped in one product: the blocks the
+        # draws are made in change no bit.
+        corr, factor = ar1_correlation(M)
+        q = uniform_quantile(corr, 0.05, num_draws=num_draws, seed=9, factor=factor)
+        maxima = one_shot_maxima(factor, num_draws, 9)
+        assert np.array_equal(_draw_maxima(factor, num_draws, 9), maxima)
+        assert q == np.sort(maxima)[math.ceil(0.95 * num_draws) - 1]
+
+    def test_one_row_last_block_keeps_the_one_shot_bits(self):
+        # A one-row product takes another BLAS path, which rounds some rows
+        # differently; each seed's last row has about even odds of showing it.
+        corr, factor = ar1_correlation(21)
+        num_draws = 2 * (DRAW_BUFFER_BYTES // (8 * 21)) + 1
+        for seed in range(16):
+            assert np.array_equal(_draw_maxima(factor, num_draws, seed),
+                                  one_shot_maxima(factor, num_draws, seed))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 4)])
+    def test_factor_must_match_the_correlation(self, shape):
+        with pytest.raises(InvalidInputError, match="factor must be 3 x 3"):
+            uniform_quantile(np.eye(3), 0.05, num_draws=1000, factor=np.ones(shape))
 
 
 def grid_fits(seed=12, n=900, M=5, h=0.9):

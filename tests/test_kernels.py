@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from bddist.data import Sample
 from bddist.errors import InvalidBandwidthError, InvalidInputError
-from bddist.geometry import QuadrantRule
+from bddist.geometry import ROW_BLOCK, QuadrantRule, signed_distances
 from bddist.kernels import (
     FAMILIES,
     DistanceColumn,
@@ -128,6 +128,30 @@ class TestDistanceColumn:
         assert np.array_equal(near.rows, np.flatnonzero(np.abs(full.values) <= 0.4))
         assert np.array_equal(near.values, full.values[near.rows])
         assert np.array_equal(near.treated, sample.treated[near.rows])
+
+    def test_blocked_scan_matches_the_one_shot_scan(self):
+        # More than two row blocks.  Rows exactly on the radius, and rows just
+        # past its 1e-9 margin, sit either side of each block edge.
+        n, pt, radius = 70001, np.array([0.25, 0.0]), 0.5
+        x = np.random.default_rng(8).uniform(-1, 1, (n, 2))
+        on, past = [], []
+        for edge in (ROW_BLOCK, 2 * ROW_BLOCK):
+            x[[edge - 1, edge]] = (0.75, 0.0)
+            x[[edge - 2, edge + 1]] = (0.25, -0.5 * (1.0 + 1e-8))
+            on += [edge - 1, edge]
+            past += [edge - 2, edge + 1]
+        sample = Sample.from_data(np.zeros(n), x, QuadrantRule())
+        col = build_distance_column(sample, pt, radius)
+        dx, dy = x[:, 0] - pt[0], x[:, 1] - pt[1]
+        rows = np.flatnonzero(dx * dx + dy * dy <= (radius * (1.0 + 1e-9)) ** 2)
+        assert np.array_equal(col.rows, rows)
+        assert np.array_equal(col.values, signed_distances(x[rows], pt, sample.treated[rows]))
+        assert np.array_equal(col.treated, sample.treated[rows])
+        assert np.isin(on, col.rows).all() and not np.isin(past, col.rows).any()
+        # A radius of inf keeps every row.
+        full = build_distance_column(sample, pt)
+        assert np.array_equal(full.rows, np.arange(n))
+        assert np.array_equal(full.values, signed_distances(x, pt, sample.treated))
 
     def test_rows_must_index_the_sample(self):
         with pytest.raises(InvalidInputError):

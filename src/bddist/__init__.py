@@ -82,7 +82,6 @@ from .locpoly import (
     SideFit,
     fit_grid,
     fit_point,
-    fit_side,
     scaled_basis,
 )
 from .oracle import (

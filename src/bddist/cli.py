@@ -37,7 +37,7 @@ from .inference import pointwise_ci, uniform_band
 from .kernels import FAMILIES
 from .locpoly import PointFit, fit_point
 from .oracle import fixed_h_bias
-from .simulation import DgpSpec, default_dgp, run_monte_carlo
+from .simulation import DgpSpec, default_dgp, describe_failures, run_monte_carlo
 
 DEFAULTS = {
     "boundary": None,
@@ -265,7 +265,8 @@ def run_simulate(cfg: SimpleNamespace) -> int:
     report.to_csv(cfg.out if cfg.out else sys.stdout, cfg.precision)
     if report.invalid:
         print(f"warning: {report.n_failed}/{report.reps_requested} replications "
-              "failed; report flagged invalid", file=sys.stderr)
+              f"failed; report flagged invalid: {describe_failures(report.failures)}",
+              file=sys.stderr)
     return 0
 
 
@@ -355,6 +356,9 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
         raise InvalidInputError(f"alpha must be in (0, 1), got {values['alpha']}")
     if int(values["grid_size"]) < 1:
         raise InvalidInputError("grid-size must be >= 1")
+    for key in ("p", "seed"):
+        if int(values[key]) < 0:
+            raise InvalidInputError(f"{key} must be >= 0, got {values[key]}")
     return SimpleNamespace(**values)
 
 

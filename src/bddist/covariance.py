@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateVarianceError, InvalidInputError, InvalidPairingError
 from .geometry import EvalGrid
-from .locpoly import PointFit, scaled_basis
+from .locpoly import PointFit
 
 # Eigenvalues of the correlation estimate are clipped from below at this floor.
 EIG_FLOOR = 1e-10
@@ -31,13 +31,12 @@ def influence_values(fit: PointFit, side: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(rows, phi)``: the side's positively weighted sample rows and
     phi_i = e1' Psi^{-1} r_p(D_i/h) K_h(D_i) e_i there (phi_i is zero on every
-    other row).  The side covariance between two points is
-    n^{-2} sum_i phi_i(x1) phi_i(x2), which matches the sandwich form exactly
-    (the h^2 factors cancel).
+    other row), as the fit formed them.  The side covariance between two
+    points is n^{-2} sum_i phi_i(x1) phi_i(x2), which matches the sandwich
+    form exactly (the h^2 factors cancel).
     """
     sf = fit.side(side)
-    B = scaled_basis(sf.distances / fit.h, fit.p)
-    return sf.rows, (B @ sf.gram.inv_e1()) * sf.weights * sf.residuals
+    return sf.rows, sf.influence
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,13 @@ def build_surface(fits: list, *, grid: EvalGrid | None = None) -> CovarianceSurf
     xi = np.zeros((M, M))
     for side in (0, 1):
         pieces = [influence_values(f, side) for f in fits]
+        rows = np.concatenate([r for r, _ in pieces])
+        point = np.repeat(np.arange(M), [r.size for r, _ in pieces])
         in_union = np.zeros(n, dtype=bool)
-        for rows, _ in pieces:
-            in_union[rows] = True
+        in_union[rows] = True
         union = np.flatnonzero(in_union)
         phi = np.zeros((M, union.size))
-        for k, (rows, values) in enumerate(pieces):
-            phi[k, np.searchsorted(union, rows)] = values
+        phi[point, np.searchsorted(union, rows)] = np.concatenate([v for _, v in pieces])
         xi += phi @ phi.T / (n * n)
     xi = 0.5 * (xi + xi.T)
     diag = np.diag(xi)

@@ -59,7 +59,7 @@ def row_blocks(n: int) -> list:
 
 
 def _euclidean(P, q):
-    return np.hypot(P[..., 0] - q[0], P[..., 1] - q[1])
+    return np.hypot(P[..., 0] - q[..., 0], P[..., 1] - q[..., 1])
 
 
 def _segment_distance(P, a, b) -> np.ndarray:
@@ -299,11 +299,13 @@ AssignmentRule = QuadrantRule | PolygonRule
 def signed_distances(P, eval_pt, treated) -> np.ndarray:
     """Signed distances from points ``P`` to ``eval_pt``: + treated, - control.
 
+    ``eval_pt`` is one point, or an array of one point per row of ``P``.
     The side comes from the boolean mask ``treated``, never from the sign of
     a distance, so a control point at ``eval_pt`` itself scores -0.0.
     """
     P = _as_points(P)
-    d = _euclidean(P, as_point(eval_pt))
+    q = as_point(eval_pt) if np.ndim(eval_pt) == 1 else _as_points(eval_pt)
+    d = _euclidean(P, q)
     sign = np.where(treated, 1.0, -1.0)
     return sign * d
 

@@ -6,9 +6,8 @@ least squares fits are invariant to kernel scale and the sandwich variance
 is self-normalizing, so no density normalization is applied.  The weight
 uses the bivariate normalization K(u/h) / h^2.
 
-A distance column holds only the sample rows within a radius of its
-evaluation point, found by one scan of the squared distances: a fit at
-bandwidth h needs no row outside the kernel's compact support.
+A distance column holds the signed distances of sample rows to one
+evaluation point, with their side mask.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBandwidthError, InvalidInputError
-from .geometry import ROW_BLOCK, as_point, row_blocks, signed_distances
+from .geometry import as_point, signed_distances
 
 FAMILIES = ("uniform", "triangular", "epanechnikov")
 
@@ -58,7 +57,7 @@ def kh_weight(family: str, u, h: float) -> np.ndarray | float:
 @dataclass(frozen=True)
 class DistanceColumn:
     """Signed distances from the n sample rows to one evaluation point,
-    stored for the rows near the point only.
+    stored for the rows it keeps.
 
     ``rows`` holds the ascending sample indices the column keeps (every row
     of a column built from explicit values), ``values`` their signed
@@ -106,37 +105,11 @@ class DistanceColumn:
         return self.treated if side == 1 else ~self.treated
 
 
-def build_distance_column(sample, eval_pt, radius: float = np.inf) -> DistanceColumn:
-    """Signed distance column of the sample rows within ``radius`` of a point.
+def build_distance_column(sample, eval_pt) -> DistanceColumn:
+    """Signed distance column of every sample row at one point.
 
-    One pass over the squared distances keeps every row within radius
-    (1 + 1e-9), a margin that absorbs their rounding, so no row inside the
-    kernel support of a bandwidth h = radius is lost.  The pass walks the
-    rows in the blocks of ``row_blocks`` through two reused block buffers;
-    each row's arithmetic is the same in any block, so the kept rows do not
-    depend on the blocking.  A radius of inf keeps every row with no scan.
-    Distances of the kept rows come from the same formula as an unrestricted
-    column, bit for bit; the side comes from ``sample.treated``.
+    ``sample.x`` and ``sample.treated`` are read as they are, with no
+    gather; the side of each row comes from ``sample.treated``.
     """
-    x = sample.x
     pt = as_point(eval_pt)
-    if radius == np.inf:
-        rows = np.arange(len(x))
-    else:
-        r2 = (radius * (1.0 + 1e-9)) ** 2
-        keep = np.empty(len(x), dtype=bool)
-        dx = np.empty(min(len(x), ROW_BLOCK + 1))
-        dy = np.empty_like(dx)
-        for block in row_blocks(len(x)):
-            m = block.stop - block.start
-            bx, by = dx[:m], dy[:m]
-            np.subtract(x[block, 0], pt[0], out=bx)
-            np.subtract(x[block, 1], pt[1], out=by)
-            np.multiply(bx, bx, out=bx)
-            np.multiply(by, by, out=by)
-            np.add(bx, by, out=bx)
-            np.less_equal(bx, r2, out=keep[block])
-        rows = np.flatnonzero(keep)
-    treated = sample.treated[rows]
-    values = signed_distances(x[rows], pt, treated)
-    return DistanceColumn(pt, values, treated, rows, len(x))
+    return DistanceColumn(pt, signed_distances(sample.x, pt, sample.treated), sample.treated)

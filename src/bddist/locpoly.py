@@ -1,12 +1,20 @@
-"""One-sided kernel-weighted local polynomial fits at a boundary point.
+"""One-sided kernel-weighted local polynomial fits at boundary points.
 
 Each side t in {0, 1} of the signed distance score is fit separately by
 weighted least squares in the bandwidth-scaled basis (1, D/h, ..., (D/h)^p);
-the treatment effect estimate at the evaluation point is the difference of
+the treatment effect estimate at an evaluation point is the difference of
 the two fitted intercepts.  Sample averages in the normal equations run over
 the full sample size n (not side-specific counts) so that the downstream
-variance formulas apply verbatim, but a fit holds arrays only for the rows
-inside its kernel support: nothing of length n outlives ``fit_point``.
+variance formulas apply verbatim.
+
+``fit_grid`` fits every grid point in one pass.  One scan per point finds
+the rows within its bandwidth; the signed distances, kernel weights and
+basis of all kept rows are then formed together, elementwise, and grouped
+by point and side.  Each (point, side) group takes its own Gram and score
+products, solve and residuals on its rows alone, so every fit equals a fit
+of that point by itself, bit for bit.  A fit holds arrays only for its
+support rows: nothing of length n outlives the pass.  ``fit_point`` is the
+one-point case.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from .errors import (
     InvalidInputError,
     SingularGramError,
 )
-from .geometry import as_point
-from .kernels import DistanceColumn, build_distance_column, kh_weight
+from .geometry import ROW_BLOCK, as_point, row_blocks, signed_distances
+from .kernels import kernel_eval
 
 MIN_GRAM_EIGENVALUE = 1e-10
 
@@ -69,14 +77,6 @@ class GramMatrix:
         return self.eigenvectors @ (self.eigenvectors[0, :] / self.eigenvalues)
 
 
-def _gram_from_design(B: np.ndarray, Bw: np.ndarray, n: int) -> GramMatrix:
-    """Gram of design B from its weighted copy Bw = B * w[:, None]."""
-    M = Bw.T @ B / n
-    M = 0.5 * (M + M.T)
-    eigenvalues, eigenvectors = np.linalg.eigh(M)
-    return GramMatrix(M, eigenvalues, eigenvectors)
-
-
 @dataclass(frozen=True)
 class SideFit:
     """One-sided weighted least squares fit in the scaled basis.
@@ -84,8 +84,9 @@ class SideFit:
     ``gamma_hat`` holds coefficients of (1, D/h, ..., (D/h)^p); raw-basis
     coefficients are gamma_hat[j] / h^j.  ``rows`` are the ascending sample
     indices of the n_eff positively weighted observations on the side;
-    their signed ``distances``, ``weights`` and ``residuals`` are aligned
-    with them and kept for covariance estimation.
+    their signed ``distances``, ``weights``, ``residuals`` and
+    ``influence`` values phi_i = e1' Psi^{-1} r_p(D_i/h) K_h(D_i) e_i of the
+    intercept are aligned with them and kept for covariance estimation.
     """
 
     side: int
@@ -96,46 +97,11 @@ class SideFit:
     distances: np.ndarray
     weights: np.ndarray
     residuals: np.ndarray
+    influence: np.ndarray
 
     @property
     def intercept(self) -> float:
         return float(self.gamma_hat[0])
-
-
-def fit_side(y, column: DistanceColumn, side: int, kernel: str, h: float, p: int) -> SideFit:
-    """Fit one side by kernel-weighted least squares.
-
-    Raises
-    ------
-    InsufficientDataError
-        Fewer than p + 1 observations carry positive weight on this side.
-    SingularGramError
-        The weighted second-moment matrix has an eigenvalue below 1e-10.
-    """
-    y = np.asarray(y, dtype=float)
-    n = len(column)
-    if y.shape != (n,):
-        raise InvalidInputError("y must match the distance column's sample in length")
-    idx = np.flatnonzero(column.side_mask(side))
-    w = kh_weight(kernel, column.values[idx], h)
-    keep = w > 0.0
-    idx, w = idx[keep], w[keep]
-    if idx.size < p + 1:
-        raise InsufficientDataError(side, int(idx.size), p + 1)
-    d = column.values[idx]
-    B = scaled_basis(d / h, p)
-    Bw = B * w[:, None]
-    g = _gram_from_design(B, Bw, n)
-    if g.min_eigenvalue < MIN_GRAM_EIGENVALUE:
-        raise SingularGramError(side, g.min_eigenvalue)
-    rows = column.rows[idx]
-    y = y[rows]
-    s = Bw.T @ y / n
-    gamma = g.solve(s)
-    residuals = y - B @ gamma
-    for arr in (rows, d, w, residuals):
-        arr.setflags(write=False)
-    return SideFit(side, gamma, int(idx.size), g, rows, d, w, residuals)
 
 
 @dataclass(frozen=True)
@@ -163,40 +129,144 @@ class PointFit:
         return self.fit1 if t == 1 else self.fit0
 
 
-def fit_point(sample, eval_pt, kernel: str, h: float, p: int,
-              column: DistanceColumn | None = None) -> PointFit:
+def _support_rows(x, points, radii):
+    """Rows of ``x`` within each radius of its point: one scan per point.
+
+    Each scan keeps every row whose squared distance is within
+    radius (1 + 1e-9), a margin that absorbs the rounding of the squares, so
+    no row inside the kernel support of a bandwidth h = radius is lost.  It
+    walks the rows in the blocks of ``row_blocks`` through two reused block
+    buffers; each row's arithmetic is the same in any block, so the kept
+    rows do not depend on the blocking.
+
+    Returns ``(point, rows)``: for each point in turn, its kept rows in
+    ascending order, and the point's index alongside each row.
+    """
+    n = len(x)
+    keep = np.empty(n, dtype=bool)
+    dx = np.empty(min(n, ROW_BLOCK + 1))
+    dy = np.empty_like(dx)
+    blocks = row_blocks(n)
+    found = []
+    for pt, radius in zip(points, radii):
+        r2 = (radius * (1.0 + 1e-9)) ** 2
+        for block in blocks:
+            m = block.stop - block.start
+            bx, by = dx[:m], dy[:m]
+            np.subtract(x[block, 0], pt[0], out=bx)
+            np.subtract(x[block, 1], pt[1], out=by)
+            np.multiply(bx, bx, out=bx)
+            np.multiply(by, by, out=by)
+            np.add(bx, by, out=bx)
+            np.less_equal(bx, r2, out=keep[block])
+        found.append(np.flatnonzero(keep))
+    point = np.repeat(np.arange(len(found)), [r.size for r in found])
+    return point, np.concatenate(found)
+
+
+def _fit_points(sample, points, kernel: str, hs, p: int) -> list:
+    """Fits at ``points`` with bandwidths ``hs``, one entry per point.
+
+    An entry is a PointFit, the error its fit raised, or the BddistError
+    given in ``hs`` for that point.  The checks run in the order a fit of
+    the point alone makes them: the bandwidth, then side 0's count and Gram,
+    then side 1's.
+    """
+    out = [None] * len(points)
+    todo = []
+    for k, h in enumerate(hs):
+        if isinstance(h, BddistError):
+            out[k] = h
+        elif not np.isfinite(h) or h <= 0.0:
+            out[k] = InvalidBandwidthError(f"bandwidth must be positive, got {h}")
+        else:
+            todo.append(k)
+    if not todo:
+        return out
+    n, m = len(sample), len(todo)
+    h_todo = np.array([hs[k] for k in todo], dtype=float)
+    pts = points[todo]
+    point, rows = _support_rows(sample.x, pts, h_todo)
+
+    # One elementwise pass over the kept rows of every point.
+    treated = sample.treated[rows]
+    h_row = h_todo[point]
+    d = signed_distances(sample.x[rows], pts[point], treated)
+    u = d / h_row
+    w = kernel_eval(kernel, u) / (h_row * h_row)
+    # Side by side, then point by point: segment t m + j holds side t of
+    # point j, its positively weighted rows ascending.
+    pos = w > 0.0
+    by_side = [np.flatnonzero(pos & ~treated), np.flatnonzero(pos & treated)]
+    order = np.concatenate(by_side)
+    counts = np.concatenate([np.bincount(point[i], minlength=m) for i in by_side])
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    rows, d, w, u = rows[order], d[order], w[order], u[order]
+    B = scaled_basis(u, p)
+    Bw = B * w[:, None]
+    y = sample.y[rows]
+
+    # Every product runs on one segment's rows alone: BLAS sums depend on
+    # the operands' shapes, so a batched product would change the last bits.
+    grams = np.zeros((2 * m, p + 1, p + 1))
+    for s in np.flatnonzero(counts >= p + 1):
+        seg = slice(bounds[s], bounds[s + 1])
+        grams[s] = Bw[seg].T @ B[seg]
+    grams /= n
+    grams = 0.5 * (grams + grams.transpose(0, 2, 1))
+    eigenvalues, eigenvectors = np.linalg.eigh(grams)
+
+    residuals = np.empty_like(y)
+    influence = np.empty_like(y)
+    for arr in (rows, d, w):
+        arr.setflags(write=False)
+    for j, k in enumerate(todo):
+        for t, s in enumerate((j, m + j)):
+            if counts[s] < p + 1:
+                out[k] = InsufficientDataError(t, int(counts[s]), p + 1)
+                break
+            if eigenvalues[s, 0] < MIN_GRAM_EIGENVALUE:
+                out[k] = SingularGramError(t, float(eigenvalues[s, 0]))
+                break
+        else:
+            sides = []
+            for t, s in enumerate((j, m + j)):
+                seg = slice(bounds[s], bounds[s + 1])
+                g = GramMatrix(grams[s], eigenvalues[s], eigenvectors[s])
+                gamma = g.solve(Bw[seg].T @ y[seg] / n)
+                r, phi = residuals[seg], influence[seg]
+                np.subtract(y[seg], B[seg] @ gamma, out=r)
+                np.multiply(B[seg] @ g.inv_e1(), w[seg], out=phi)
+                phi *= r
+                r.setflags(write=False)
+                phi.setflags(write=False)
+                sides.append(SideFit(t, gamma, int(counts[s]), g,
+                                     rows[seg], d[seg], w[seg], r, phi))
+            out[k] = PointFit(points[k], float(hs[k]), int(p), kernel, n, *sides)
+    return out
+
+
+def fit_point(sample, eval_pt, kernel: str, h: float, p: int) -> PointFit:
     """Fit both sides at one boundary point and form the effect estimate.
 
-    A precomputed ``column`` for the same point is used as is; otherwise
-    the column keeps only the rows within h of the point.
+    The one-point case of ``fit_grid``: the fit keeps only the rows within
+    h of the point.  Raises the error the fit fails with.
     """
-    if not np.isfinite(h) or h <= 0.0:
-        raise InvalidBandwidthError(f"bandwidth must be positive, got {h}")
-    if column is None:
-        column = build_distance_column(sample, eval_pt, h)
-    elif not np.array_equal(column.eval_pt, as_point(eval_pt)):
-        raise InvalidInputError("precomputed column belongs to a different point")
-    fit0 = fit_side(sample.y, column, 0, kernel, h, p)
-    fit1 = fit_side(sample.y, column, 1, kernel, h, p)
-    return PointFit(as_point(eval_pt), float(h), int(p), kernel, len(column), fit0, fit1)
+    fit = _fit_points(sample, as_point(eval_pt)[None, :], kernel, [h], p)[0]
+    if isinstance(fit, BddistError):
+        raise fit
+    return fit
 
 
 def fit_grid(sample, grid, kernel: str, bandwidths, p: int) -> list:
-    """Fit every grid point; returns a list aligned with the grid.
+    """Fit every grid point in one pass; returns a list aligned with the grid.
 
     ``bandwidths`` is a scalar or one entry per point, such as the outcomes
     of ``resolve_bandwidths``.  Entries of the result are PointFit objects,
-    or the raised error for points whose fit failed; an error entry in
-    ``bandwidths`` is passed through as that point's result.
+    or the error a point's fit raised (too few rows or a singular Gram on a
+    side, or a bandwidth that is not positive); an error entry in
+    ``bandwidths`` is passed through as that point's result.  Each entry
+    equals ``fit_point`` at that point bit for bit.
     """
     hs = np.broadcast_to(np.asarray(bandwidths, dtype=object), (grid.count,))
-
-    def one(k):
-        if isinstance(hs[k], BddistError):
-            return hs[k]
-        try:
-            return fit_point(sample, grid.points[k], kernel, hs[k], p)
-        except (InsufficientDataError, SingularGramError, InvalidBandwidthError) as err:
-            return err
-
-    return [one(k) for k in range(grid.count)]
+    return _fit_points(sample, grid.points, kernel, hs, p)

@@ -177,9 +177,19 @@ class McPointRow:
     il: float
 
 
+def describe_failures(failures: dict) -> str:
+    """One line naming each failure class with its count and first message."""
+    return "; ".join(f"{name} in {count} (first: {message})"
+                     for name, (count, message) in failures.items())
+
+
 @dataclass
 class McReport:
-    """Aggregated Monte Carlo results plus per-replication diagnostics."""
+    """Aggregated Monte Carlo results plus per-replication diagnostics.
+
+    ``failures`` maps the class name of each error that failed a
+    replication to its count and the first such error's message.
+    """
 
     rows: list
     uniform_ec: float
@@ -187,6 +197,7 @@ class McReport:
     reps_requested: int
     reps_used: int
     n_failed: int
+    failures: dict
     invalid: bool
     n: int
     alpha: float
@@ -227,8 +238,8 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
     """Repeatedly draw, fit the grid, and tabulate coverage.
 
     Replications whose bandwidth selection or fits fail anywhere on the grid
-    are recorded and excluded; a failure rate above 5 percent flags the
-    report as invalid.  Replication seeds are split off the master seed, so
+    are counted by error class and excluded; a failure rate above 5 percent
+    flags the report as invalid.  Replication seeds are split off the master seed, so
     the report is reproducible bit for bit.
     """
     if reps < 1:
@@ -247,6 +258,7 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
     h_used = np.empty((reps, M))
     band_q = np.empty(reps)
     ok = np.zeros(reps, dtype=bool)
+    failures = {}
 
     for r, child in enumerate(children):
         draw_seq, band_seq = child.spawn(2)
@@ -259,7 +271,10 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
                 raise failed[0]
             surface = build_surface(fits, grid=grid)
             band = uniform_band(fits, surface, alpha, band_draws, band_seq)
-        except BddistError:
+        except BddistError as err:
+            name = type(err).__name__
+            count, message = failures.get(name, (0, str(err)))
+            failures[name] = (count + 1, message)
             continue
         theta[r] = [f.theta_hat for f in fits]
         se[r] = surface.se
@@ -270,7 +285,8 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
     used = int(ok.sum())
     n_failed = reps - used
     if used == 0:
-        raise BddistError("every replication failed; nothing to report")
+        raise BddistError("every replication failed; nothing to report: "
+                          + describe_failures(failures))
     theta, se, h_used, band_q = theta[ok], se[ok], h_used[ok], band_q[ok]
 
     err = theta - tau[None, :]
@@ -303,6 +319,7 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
         reps_requested=reps,
         reps_used=used,
         n_failed=n_failed,
+        failures=failures,
         invalid=(n_failed / reps) > 0.05,
         n=n,
         alpha=alpha,

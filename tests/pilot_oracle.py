@@ -2,13 +2,13 @@
 
 At a candidate h the pilot compares the order-p fit with the order-(p+1)
 fit and adds the variance estimate of the order-p fit, all from complete
-``fit_point`` calls on the distance column.  ``bddist.bandwidth``
+``fit_oracle.fit_point`` calls on the distance column.  ``bddist.bandwidth``
 computes the same objectives from one table of powers of D per side;
 these functions check it.
 """
 
 from bddist.covariance import influence_values
-from bddist.locpoly import fit_point
+from fit_oracle import fit_point
 
 
 def pilot_fits(sample, column, kernel: str, p: int, h: float):

@@ -407,6 +407,31 @@ class TestBadInputs:
         assert capsys.readouterr().err.startswith(
             "error: resolved bandwidths must lie in (0, data diameter = ")
 
+    @pytest.mark.parametrize("flag", ["--p", "--seed"])
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_negative_order_or_seed_is_one_error_line(self, tmp_path, boundary_file, capsys,
+                                                      command, flag):
+        # Both concern the whole run: one error line, exit 1, no fit or draw.
+        if command == "estimate":
+            argv = ["estimate", "--data", write_dataset(tmp_path, n=200),
+                    "--boundary", boundary_file]
+        else:
+            argv = ["simulate", "--n", "400", "--reps", "2", "--c0", "6.0"]
+        argv += ["--grid-size", "3", "--band-draws", "1000", flag, "-1",
+                 "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag[2:]} must be >= 0, got -1\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_every_failed_replication_is_named(self, tmp_path, capsys):
+        # At the default c0 = 1, n = 5000 leaves some grid point too few rows.
+        assert main(["simulate", "--n", "5000", "--reps", "3",
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: every replication failed; nothing to report: "
+                              "InsufficientDataError in 3 (first: side ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv,content", [
         (["estimate", "--config", "{bad}"], '{"sigma0": 0.5,'),
         (["simulate", "--dgp", "{bad}"], '{"sigma0": 0.5,'),

@@ -7,7 +7,8 @@ from bddist.data import Sample
 from bddist.errors import DegenerateVarianceError, InvalidPairingError
 from bddist.geometry import QuadrantRule
 from bddist.kernels import DistanceColumn
-from bddist.locpoly import PointFit, fit_point, fit_side, scaled_basis
+from bddist.locpoly import PointFit, fit_point, scaled_basis
+from fit_oracle import fit_side
 from sandwich_oracle import upsilon, xi_pair
 
 RULE = QuadrantRule()

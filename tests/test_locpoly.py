@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bddist.data import Sample
-from bddist.errors import BandwidthSelectionError, InsufficientDataError, SingularGramError
-from bddist.geometry import QuadrantRule
-from bddist.kernels import DistanceColumn, build_distance_column
-from bddist.locpoly import (
-    _gram_from_design,
-    fit_grid,
-    fit_point,
-    fit_side,
-    scaled_basis,
+from bddist.errors import (
+    BandwidthSelectionError,
+    BddistError,
+    InsufficientDataError,
+    InvalidInputError,
+    SingularGramError,
 )
-from bddist.geometry import BoundaryPolyline, make_grid
+from bddist.geometry import ROW_BLOCK, BoundaryPolyline, QuadrantRule, make_grid, signed_distances
+from bddist.kernels import FAMILIES, DistanceColumn, build_distance_column
+from bddist.locpoly import PointFit, _support_rows, fit_grid, fit_point, scaled_basis
+from fit_oracle import fit_point as oracle_fit_point
+from fit_oracle import fit_side, gram_from_design
 
 RULE = QuadrantRule()
 ORIGIN = np.zeros(2)
@@ -28,6 +29,8 @@ def column_from_signed(values):
     return DistanceColumn(ORIGIN, values, values >= 0.0)
 
 
+# One-side checks run on the column-based oracle, which ``fit_grid`` and
+# ``fit_point`` equal bit for bit (TestGridPassMatchesOracle).
 class TestGram:
     # The Gram matrix does not depend on the outcomes.
     def test_unit_bandwidth_indicator(self):
@@ -109,8 +112,8 @@ class TestFitSide:
         B = scaled_basis(rng.uniform(0, 1, 30), 1)
         w = rng.uniform(0.1, 1.0, 30)
         y = rng.normal(size=30)
-        g1 = _gram_from_design(B, B * w[:, None], 30)
-        g2 = _gram_from_design(B, B * (7.5 * w)[:, None], 30)
+        g1 = gram_from_design(B, B * w[:, None], 30)
+        g2 = gram_from_design(B, B * (7.5 * w)[:, None], 30)
         s1 = (B * w[:, None]).T @ y / 30
         assert_allclose(g1.solve(s1), g2.solve(7.5 * s1), rtol=1e-12)
 
@@ -174,10 +177,8 @@ class TestFitPoint:
         x = rng.uniform(-1, 1, (60, 2))
         sample = Sample.from_data(rng.normal(size=60), x, RULE)
         col = build_distance_column(sample, (0.5, 0.0))
-        from bddist.errors import InvalidInputError
-
         with pytest.raises(InvalidInputError):
-            fit_point(sample, ORIGIN, "uniform", 1.0, 0, column=col)
+            oracle_fit_point(sample, ORIGIN, "uniform", 1.0, 0, column=col)
 
     def test_point_fit_is_frozen(self):
         rng = np.random.default_rng(4)
@@ -278,3 +279,156 @@ class TestFitGrid:
         fits = fit_grid(sample, grid, "uniform", [0.25, 0.25, err], 1)
         assert fits[2] is err
         assert not isinstance(fits[1], Exception)
+
+
+class TestSupportScan:
+    def test_radius_keeps_the_support_rows_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-1, 1, (500, 2))
+        sample = Sample.from_data(rng.normal(size=500), x, RULE)
+        full = build_distance_column(sample, (0.3, 0.0))
+        point, rows = _support_rows(x, np.array([[0.3, 0.0]]), np.array([0.4]))
+        support = np.flatnonzero(np.abs(full.values) <= 0.4)
+        assert np.array_equal(rows, support) and not point.any()
+        # Under the uniform kernel every row within h carries weight, so the
+        # fit's two sides hold exactly these rows, at the full column's
+        # distances.
+        fit = fit_point(sample, (0.3, 0.0), "uniform", 0.4, 0)
+        assert np.array_equal(np.union1d(fit.fit0.rows, fit.fit1.rows), support)
+        for side in (0, 1):
+            sf = fit.side(side)
+            assert np.array_equal(sf.distances, full.values[sf.rows])
+            assert np.all(sample.treated[sf.rows] == bool(side))
+
+    def test_blocked_scan_matches_the_one_shot_scan(self):
+        # More than two row blocks.  Rows exactly on the radius, rows within
+        # it whose rounded squared distance exceeds radius^2, and rows just
+        # past its 1e-9 margin sit either side of each block edge.
+        n, pt, radius = 70001, np.array([0.25, 0.0]), 0.5
+        x = np.random.default_rng(8).uniform(-1, 1, (n, 2))
+        inside = (0.451032054611213, -0.45780575904939674)
+        dx, dy = inside[0] - pt[0], inside[1] - pt[1]
+        assert np.hypot(dx, dy) <= radius and dx * dx + dy * dy > radius * radius
+        on, past = [], []
+        for edge in (ROW_BLOCK, 2 * ROW_BLOCK):
+            x[[edge - 1, edge]] = (0.75, 0.0)
+            x[[edge - 3, edge + 2]] = inside
+            x[[edge - 2, edge + 1]] = (0.25, -0.5 * (1.0 + 1e-8))
+            on += [edge - 1, edge, edge - 3, edge + 2]
+            past += [edge - 2, edge + 1]
+        dx, dy = x[:, 0] - pt[0], x[:, 1] - pt[1]
+        expected = np.flatnonzero(dx * dx + dy * dy <= (radius * (1.0 + 1e-9)) ** 2)
+        # The same point twice, then a radius that keeps every row.
+        point, rows = _support_rows(x, np.array([pt, pt, pt]), np.array([radius, radius, 9.0]))
+        assert np.array_equal(point, np.repeat([0, 1, 2], [expected.size] * 2 + [n]))
+        assert np.array_equal(rows[point == 0], expected)
+        assert np.array_equal(rows[point == 1], expected)
+        assert np.array_equal(rows[point == 2], np.arange(n))
+        assert np.isin(on, expected).all() and not np.isin(past, expected).any()
+        # The fit sees the rows on the radius, at their one-shot distances.
+        sample = Sample.from_data(np.random.default_rng(9).normal(size=n), x, RULE)
+        fit = fit_point(sample, pt, "uniform", radius, 0)
+        kept = np.union1d(fit.fit0.rows, fit.fit1.rows)
+        assert np.isin(on, kept).all() and not np.isin(past, kept).any()
+        for sf in (fit.fit0, fit.fit1):
+            assert np.array_equal(sf.distances, signed_distances(
+                x[sf.rows], pt, sample.treated[sf.rows]))
+
+
+# Lattice coordinates k / 8: sums, squares and axis-aligned distances are
+# exact, so rows fall exactly on |D| = h for lattice bandwidths, and repeated
+# draws give duplicate rows.
+LATTICE_H = st.integers(1, 24).map(lambda k: k / 8)
+SELECTION_ERROR = BandwidthSelectionError("no candidate")
+L_BOUNDARY = BoundaryPolyline.from_vertices([(0.0, 1.5), (0.0, 0.0), (1.5, 0.0)])
+
+
+def assert_same_fit(fit, ref):
+    assert isinstance(fit, PointFit)
+    assert (fit.h, fit.p, fit.kernel, fit.n) == (ref.h, ref.p, ref.kernel, ref.n)
+    assert np.array_equal(fit.eval_pt, ref.eval_pt)
+    assert fit.theta_hat == ref.theta_hat
+    for side in (0, 1):
+        a, b = fit.side(side), ref.side(side)
+        assert (a.side, a.n_eff) == (b.side, b.n_eff) and type(a.n_eff) is int
+        assert np.array_equal(a.gamma_hat, b.gamma_hat)
+        for name in ("rows", "distances", "weights", "residuals", "influence"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert getattr(a, name).dtype == getattr(b, name).dtype, name
+            assert not getattr(a, name).flags.writeable, name
+        for name in ("matrix", "eigenvalues", "eigenvectors"):
+            assert np.array_equal(getattr(a.gram, name), getattr(b.gram, name)), name
+
+
+def assert_same_outcome(fit, sample, pt, kernel, h, p):
+    """``fit`` equals the oracle's fit, or is the oracle's error."""
+    try:
+        ref = oracle_fit_point(sample, pt, kernel, h, p)
+    except BddistError as err:
+        assert type(fit) is type(err) and str(fit) == str(err)
+        assert getattr(fit, "side", None) == getattr(err, "side", None)
+    else:
+        assert_same_fit(fit, ref)
+
+
+class TestGridPassMatchesOracle:
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data(), kernel=st.sampled_from(FAMILIES), p=st.sampled_from([0, 1, 2]),
+           M=st.sampled_from([1, 2, 3, 5, 7]), spread=st.sampled_from([2, 12]),
+           one_sided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_grid_fits_equal_the_oracle_bit_for_bit(self, data, kernel, p, M, spread,
+                                                   one_sided, seed):
+        # Rows picked again from the pool repeat; a small spread makes
+        # near-empty points and singular Grams; one_sided puts every row on the treated side of the x2 = 0
+        # leg, so points there see one side only.
+        coords = st.tuples(st.integers(0 if one_sided else -spread, spread + 4),
+                           st.integers(-spread, spread + 4))
+        pool = data.draw(st.lists(coords, min_size=1, max_size=40))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=20))
+        x = np.array(pool + [pool[i] for i in picks], dtype=float) / 8
+        n = len(x)
+        sample = Sample.from_data(np.random.default_rng(seed).normal(size=n), x, RULE)
+        grid = make_grid(L_BOUNDARY, M)
+        h_entry = st.one_of(LATTICE_H, LATTICE_H, st.floats(0.05, 3.0),
+                            st.sampled_from([np.nan, np.inf, -1.0, 0.0, SELECTION_ERROR]))
+        hs = data.draw(st.lists(h_entry, min_size=M, max_size=M))
+        fits = fit_grid(sample, grid, kernel, hs, p)
+        assert len(fits) == M
+        for pt, h, fit in zip(grid.points, hs, fits):
+            if h is SELECTION_ERROR:
+                assert fit is SELECTION_ERROR
+                continue
+            assert_same_outcome(fit, sample, pt, kernel, h, p)
+            # fit_point is the one-point case of the same pass.
+            try:
+                one = fit_point(sample, pt, kernel, h, p)
+            except BddistError as err:
+                one = err
+            assert_same_outcome(one, sample, pt, kernel, h, p)
+
+    @pytest.mark.parametrize("kernel", FAMILIES)
+    def test_rows_exactly_at_the_bandwidth(self, kernel):
+        # Rows at |D| = h exactly on both sides of the origin: the closed
+        # uniform kernel keeps them, the others give them zero weight.
+        h = 0.75
+        edge = np.array([[h, 0.0], [0.0, h], [-h, 0.0], [0.0, -h]])
+        x = np.vstack([edge, np.random.default_rng(11).uniform(-0.5, 0.5, (40, 2))])
+        sample = Sample.from_data(np.random.default_rng(12).normal(size=44), x, RULE)
+        grid = make_grid(L_BOUNDARY, 5)
+        fits = fit_grid(sample, grid, kernel, [h] * 5, 1)
+        for pt, fit in zip(grid.points, fits):
+            assert_same_outcome(fit, sample, pt, kernel, h, 1)
+        at_origin = fits[2]
+        kept = np.union1d(at_origin.fit0.rows, at_origin.fit1.rows)
+        assert np.isin([0, 1, 2, 3], kept).all() == (kernel == "uniform")
+        assert not np.isin([0, 1, 2, 3], kept).any() or kernel == "uniform"
+
+    def test_input_errors_still_raise(self):
+        sample = Sample.from_data(np.zeros(4), np.eye(2).repeat(2, axis=0), RULE)
+        grid = make_grid(L_BOUNDARY, 3)
+        with pytest.raises(InvalidInputError, match="unknown kernel family"):
+            fit_grid(sample, grid, "gaussian", 1.0, 1)
+        with pytest.raises(InvalidInputError, match="polynomial order must be >= 0"):
+            fit_grid(sample, grid, "uniform", 1.0, -1)
+        # With no point to fit, neither is checked.
+        assert fit_grid(sample, grid, "gaussian", SELECTION_ERROR, -1) == [SELECTION_ERROR] * 3

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -152,7 +154,8 @@ class TestMonteCarlo:
         grid = make_grid(spec.boundary, 3)
         from bddist.errors import BddistError
 
-        with pytest.raises(BddistError):
+        with pytest.raises(BddistError, match="every replication failed; nothing to "
+                           r"report: InsufficientDataError in 3 \(first: side "):
             run_monte_carlo(spec, n=200, reps=3, grid=grid, bw_rule=Fixed(0.05),
                             band_draws=2000, seed=7)
 
@@ -166,6 +169,8 @@ class TestMonteCarlo:
         assert report.reps_used + report.n_failed == 30
         assert 0 < report.n_failed < 30
         assert report.invalid
+        assert sum(count for count, _ in report.failures.values()) == report.n_failed
+        assert all(message for _, message in report.failures.values())
         assert report.theta.shape == (report.reps_used, 3)
 
     def test_mse_pilot_rule_inside_harness(self):
@@ -193,3 +198,17 @@ class TestMonteCarlo:
         # Full precision round-trips to at least 12 significant digits.
         row1 = lines[1].split(",")
         assert float(row1[4]) == report.rows[0].bias
+
+
+# Saved from commit 7ba0069, whose fits ran one point and one side at a time:
+# run_monte_carlo(default_dgp(), 2000, 5, bw_rule=RuleOfThumb(c0=8), seed=3).
+SIMULATE_FIXTURE = Path(__file__).parent / "fixtures" / "simulate_parent.npz"
+
+
+def test_monte_carlo_matches_the_saved_replications():
+    saved = np.load(SIMULATE_FIXTURE)
+    report = run_monte_carlo(default_dgp(), 2000, 5, bw_rule=RuleOfThumb(c0=8.0), seed=3)
+    assert report.n_failed == 0
+    for name, got in (("theta", report.theta), ("se", report.se),
+                      ("h_used", report.h_used), ("band_quantile", report.band_quantile)):
+        assert np.array_equal(got, saved[name]), name

@@ -71,8 +71,6 @@ from .inference import (
 from .kernels import (
     DEFAULT_KERNEL,
     FAMILIES,
-    DistanceColumn,
-    build_distance_column,
     kernel_eval,
     kh_weight,
 )

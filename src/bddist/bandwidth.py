@@ -22,9 +22,9 @@ from .errors import (
     InvalidInputError,
     SingularGramError,
 )
-from .geometry import BoundaryPolyline, distance
-from .kernels import build_distance_column, kh_weight
-from .locpoly import MIN_GRAM_EIGENVALUE, GramMatrix, scaled_basis
+from .geometry import BoundaryPolyline, as_point, distance, point_distances
+from .kernels import kh_weight
+from .locpoly import MIN_GRAM_EIGENVALUE, GramMatrix
 
 
 def _point_cloud(points) -> np.ndarray:
@@ -84,65 +84,104 @@ def rot_bandwidth(sample, polyline: BoundaryPolyline, c0: float = 1.0,
     return rot_bandwidth_from_scale(rot_scale(sample, polyline), c0, len(sample), exponent)
 
 
-def candidate_bandwidths(column, diameter: float, num: int = 15) -> np.ndarray:
-    """Log-spaced candidate grid between the 5th percentile of nonzero |D| in
-    the point's distance column and half the data diameter."""
+def candidate_bandwidths(magnitudes, diameter: float, num: int = 15) -> np.ndarray:
+    """Log-spaced candidate grid between the 5th percentile of the nonzero
+    |D| at a point and half the data diameter.
+
+    ``magnitudes`` holds the point's |D| as one or more ascending arrays,
+    such as one per side.  The percentile is ``np.percentile``'s linear
+    interpolation, bit for bit, between the two order statistics around
+    it; both lie in the heads of the arrays, so nothing else is copied or
+    sorted.
+    """
     if num < 5:
         raise InvalidInputError(f"candidate grid needs >= 5 points, got {num}")
-    mags = np.abs(column.values)
-    mags = mags[mags > 0.0]
-    if mags.size == 0:
+    nonzero = [np.asarray(m, dtype=float) for m in magnitudes]
+    if any(m.ndim != 1 or (m[:1] < 0.0).any() or (m[1:] < m[:-1]).any() for m in nonzero):
+        raise InvalidInputError("magnitudes must be ascending nonnegative 1-d arrays")
+    nonzero = [m[np.searchsorted(m, 0.0, side="right"):] for m in nonzero]
+    count = sum(m.size for m in nonzero)
+    if count == 0:
         raise InvalidInputError("all observations coincide with the evaluation point")
-    lo = float(np.percentile(mags, 5.0))
+    index = (count - 1) * 0.05  # np.percentile's virtual index at q = 5 / 100
+    i = int(index)
+    head = np.sort(np.concatenate([m[:i + 2] for m in nonzero]))
+    a, b = float(head[i]), float(head[min(i + 1, count - 1)])
+    t = index - i
+    lo = b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
     hi = 0.5 * diameter
     if not lo < hi:
         raise InvalidInputError(f"empty candidate range [{lo}, {hi}]")
     return np.geomspace(lo, hi, num)
 
 
+class _Side(NamedTuple):
+    """One side's rows at one point by ascending |D|, with their D and y."""
+
+    mags: np.ndarray
+    d: np.ndarray
+    y: np.ndarray
+
+
+def _split_sides(sample) -> list:
+    """Coordinates and outcomes of each side's rows, control first, each
+    in sample order; the split does not depend on the point."""
+    return [(sample.x[rows], sample.y[rows])
+            for rows in (np.flatnonzero(~sample.treated), np.flatnonzero(sample.treated))]
+
+
+def _point_sides(split, eval_pt) -> list:
+    """Both sides of ``_split_sides`` at one point, each from one distance
+    pass and one sort by |D|.  Rows tied in |D| may come in any order: a
+    candidate's prefix ends after all of them."""
+    pt = as_point(eval_pt)
+    sides = []
+    for sign, (x, y) in zip((-1.0, 1.0), split):
+        mags = point_distances(x, pt)
+        order = np.argsort(mags)
+        mags = mags[order]
+        sides.append(_Side(mags, sign * mags, y[order]))
+    return sides
+
+
 class _SidePilot(NamedTuple):
     """One side's pilot sums at every candidate bandwidth h_k.
 
-    The side's rows are ordered by |D|, so the kernel support at h_k is the
-    prefix of length ``ends[k]``.  ``weights`` holds K_h(D) on each prefix
-    and ``counts`` its positive entries.  ``moments`` holds
-    n^{-1} sum_i w_i (D_i/h)^j for j <= 2p + 2 and ``scores``
-    n^{-1} sum_i w_i y_i (D_i/h)^j for j <= p + 1, one row per candidate.
-    Column j of ``table`` is (D/h_max)^j, aligned with the ordered ``y``.
+    The kernel support at h_k is the prefix of the side's rows of length
+    ``ends[k]``.  ``weights`` holds K_h(D) on each prefix and ``counts`` its
+    positive entries.  Row k of ``sums`` holds the moments
+    n^{-1} sum_i w_i (D_i/h)^j for j <= 2p + 2, then the scores
+    n^{-1} sum_i w_i y_i (D_i/h)^j for j <= p + 1.  Row j of ``powers`` is
+    (D/h_max)^j over the longest prefix.
     """
 
     ends: np.ndarray
     weights: list
     counts: np.ndarray
-    moments: np.ndarray
-    scores: np.ndarray
-    table: np.ndarray
-    y: np.ndarray
+    sums: np.ndarray
+    powers: np.ndarray
 
 
-def _side_pilot(column, y, side: int, kernel: str, hs: np.ndarray, p: int) -> _SidePilot:
-    """Sort one side by |D| once and sum every candidate's prefix of one
-    table of powers (D/h_max)^j, each entry in [-1, 1]; the sums at h are
-    rescaled by (h_max/h)^j."""
-    idx = np.flatnonzero(column.side_mask(side))
-    mags = np.abs(column.values[idx])
-    # Rows tied in |D| may come in any order: a prefix ends after all of them.
-    order = np.argsort(mags)
-    idx, mags = idx[order], mags[order]
-    d, y = column.values[idx], y[column.rows[idx]]
-    ends = np.searchsorted(mags, hs, side="right")
-    h_max = hs.max()
-    table = scaled_basis(d / h_max, 2 * p + 2)
-    y_table = table[:, :p + 2] * y[:, None]
-    weights = [kh_weight(kernel, d[:m], h) for h, m in zip(hs, ends)]
+def _side_pilot(side: _Side, kernel: str, hs: np.ndarray, p: int, n: int) -> _SidePilot:
+    """Every candidate's sums on one side: one product per candidate over
+    its prefix of the power rows (D/h_max)^j, each entry in [-1, 1], and of
+    y times the first p + 2 of them; the sums at h are rescaled by
+    (h_max/h)^j."""
+    ends = np.searchsorted(side.mags, hs, side="right")
+    h_max, m = hs.max(), ends.max()
+    u = side.d[:m] / h_max
+    rows = np.empty((3 * p + 5, m))
+    rows[0] = 1.0
+    for j in range(1, 2 * p + 3):
+        np.multiply(rows[j - 1], u, out=rows[j])
+    np.multiply(rows[:p + 2], side.y[:m], out=rows[2 * p + 3:])
+    # |D| gives kh_weight the bits of D: the kernels are even.
+    weights = [kh_weight(kernel, side.mags[:e], h) for h, e in zip(hs, ends)]
     counts = np.array([np.count_nonzero(w > 0.0) for w in weights])
-    ratio = (h_max / hs)[:, None]
-    n = len(column)
-    moments = np.array([w @ table[:m] for w, m in zip(weights, ends)])
-    moments *= ratio ** np.arange(2 * p + 3) / n
-    scores = np.array([w @ y_table[:m] for w, m in zip(weights, ends)])
-    scores *= ratio ** np.arange(p + 2) / n
-    return _SidePilot(ends, weights, counts, moments, scores, table, y)
+    sums = np.array([rows[:, :e] @ w for w, e in zip(weights, ends)])
+    j = np.concatenate([np.arange(2 * p + 3), np.arange(p + 2)])
+    sums *= (h_max / hs)[:, None] ** j / n
+    return _SidePilot(ends, weights, counts, sums, rows[:2 * p + 3])
 
 
 def _pilot_failure(counts, min_eigenvalues, p: int):
@@ -150,7 +189,7 @@ def _pilot_failure(counts, min_eigenvalues, p: int):
 
     ``counts`` holds the positive weights per side and ``min_eigenvalues``
     the smallest Gram eigenvalue per side for order p, then order p + 1:
-    the checks of ``fit_side`` in the order the two fits make them.
+    the checks of ``fit_point`` in the order the two fits make them.
     """
     for q, min_eig in zip((p, p + 1), min_eigenvalues):
         for side in (0, 1):
@@ -161,21 +200,24 @@ def _pilot_failure(counts, min_eigenvalues, p: int):
     return None
 
 
-def mse_pilot_objectives(sample, column, kernel: str, p: int, candidates) -> list:
-    """Estimated MSE at each candidate bandwidth, in one pass per side.
+def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
+                         sides=None) -> list:
+    """Estimated MSE at each candidate bandwidth at one point, in one pass
+    per side.
 
     The objective at h is the squared gap between the order-(p+1) and the
     order-p effect estimates plus the variance estimate of the order-p fit,
     n^{-2} sum over both sides of phi_i^2, phi_i = l_i w_i (y_i - f_i) with
     l the basis times Psi^{-1} e1 and f the order-p fitted values.
 
-    No fit is run.  Each side orders its rows by |D| once and builds one
-    table of powers of D (``_side_pilot``); every candidate's Gram moments
-    (G_jk = mu_{j+k}) and scores of both orders are then one product each
-    over the prefix of rows within it, and the Grams of each order go
-    through one batched eigendecomposition.  Sums of phi_i^2 run over the
-    residuals themselves, not over moments of y^2, so an affine change of
-    y keeps its digits.
+    No fit is run.  Each side takes one distance pass and one sort by |D|
+    (``resolve_bandwidths`` passes in the ``sides`` it has sorted), then
+    one array of power rows of D: every candidate's Gram moments
+    (G_jk = mu_{j+k}) and scores of both orders are one product over the
+    prefix of rows within it (``_side_pilot``).  One batched
+    eigendecomposition and one stacked solve per order serve every
+    candidate and side.  Sums of phi_i^2 run over the residuals themselves,
+    not over moments of y^2, so an affine change of y keeps its digits.
 
     Returns one entry per candidate: the objective as a float, or the
     BddistError that the order-p or order-(p+1) fit would raise there: a
@@ -191,59 +233,67 @@ def mse_pilot_objectives(sample, column, kernel: str, p: int, candidates) -> lis
     valid = np.flatnonzero(valid)
     if valid.size == 0:
         return out
-    hs = candidates[valid]
-    sides = [_side_pilot(column, sample.y, t, kernel, hs, p) for t in (0, 1)]
+    if sides is None:
+        sides = _point_sides(_split_sides(sample), eval_pt)
+    hs, n = candidates[valid], len(sample)
+    pilots = [_side_pilot(s, kernel, hs, p, n) for s in sides]
     # Axes: candidate, side, then the Gram's rows and columns.
-    counts = np.stack([s.counts for s in sides], axis=1)
-    hankel = np.add.outer(np.arange(p + 2), np.arange(p + 2))
-    grams = np.stack([s.moments[:, hankel] for s in sides], axis=1)
-    scores = np.stack([s.scores for s in sides], axis=1)
+    counts = np.stack([s.counts for s in pilots], axis=1)
+    sums = np.stack([s.sums for s in pilots], axis=1)
+    grams = sums[..., np.add.outer(np.arange(p + 2), np.arange(p + 2))]
+    scores = sums[..., 2 * p + 3:]
     lam_p, vec_p = np.linalg.eigh(grams[..., :p + 1, :p + 1])
     lam_p1, vec_p1 = np.linalg.eigh(grams)
-    powers = (hs.max() / hs)[:, None] ** np.arange(p + 1)
-    n = len(column)
     for k in range(hs.size):
-        err = _pilot_failure(counts[k], (lam_p[k, :, 0], lam_p1[k, :, 0]), p)
-        if err is not None:
-            out[valid[k]] = err
-            continue
-        intercepts, variance = np.empty((2, 2)), 0.0  # rows: order p, order p + 1
-        for t, s in enumerate(sides):
-            g_p = GramMatrix(grams[k, t, :p + 1, :p + 1], lam_p[k, t], vec_p[k, t])
-            g_p1 = GramMatrix(grams[k, t], lam_p1[k, t], vec_p1[k, t])
-            gamma = g_p.solve(scores[k, t, :p + 1])
-            intercepts[:, t] = gamma[0], g_p1.solve(scores[k, t])[0]
-            m = s.ends[k]
-            lf = s.table[:m, :p + 1] @ (np.column_stack([g_p.inv_e1(), gamma])
-                                         * powers[k][:, None])
-            phi = lf[:, 0] * s.weights[k] * (s.y[:m] - lf[:, 1])
+        out[valid[k]] = _pilot_failure(counts[k], (lam_p[k, :, 0], lam_p1[k, :, 0]), p)
+    ok = [k for k in range(hs.size) if out[valid[k]] is None]
+    if not ok:
+        return out
+    # Order p: columns Psi^{-1} e1 and gamma; order p + 1: its intercepts.
+    rhs = np.zeros((len(ok), 2, p + 1, 2))
+    rhs[..., 0, 0] = 1.0
+    rhs[..., 1] = scores[ok, :, :p + 1]
+    order_p = GramMatrix(grams[ok, :, :p + 1, :p + 1], lam_p[ok], vec_p[ok]).solve(rhs)
+    order_p1 = GramMatrix(grams[ok], lam_p1[ok], vec_p1[ok]).solve(scores[ok, :, :, None])
+    gaps = (order_p[:, 1, 0, 1] - order_p[:, 0, 0, 1]) - (order_p1[:, 1, 0, 0]
+                                                          - order_p1[:, 0, 0, 0])
+    # Coefficients of the power rows (D/h_max)^j for l and f.
+    coefs = (np.swapaxes(order_p, -1, -2)
+             * ((hs.max() / hs[ok])[:, None] ** np.arange(p + 1))[:, None, None, :])
+    for k, gap, coef in zip(ok, gaps, coefs):
+        variance = 0.0
+        for s, side, c in zip(pilots, sides, coef):
+            e = s.ends[k]
+            phi, f = c @ s.powers[:p + 1, :e]
+            phi *= s.weights[k]
+            phi *= np.subtract(side.y[:e], f, out=f)
             variance += float(phi @ phi)
-        theta_p, theta_p1 = intercepts[:, 1] - intercepts[:, 0]
-        gap = theta_p - theta_p1
         out[valid[k]] = float(gap * gap) + variance / (n * n)
     return out
 
 
-def mse_pilot_bandwidth(sample, column, kernel: str, p: int, candidates) -> float:
-    """Candidate bandwidth minimizing the estimated MSE at the column's point.
+def mse_pilot_bandwidth(sample, eval_pt, kernel: str, p: int, candidates,
+                        sides=None) -> float:
+    """Candidate bandwidth minimizing the estimated MSE at one point.
 
-    The objectives come from ``mse_pilot_objectives``: one pass per side
-    over one table of powers of D serves every candidate, with no fit.
-    Candidates where a fit would fail (too few observations, singular
-    design) are skipped, and the first of equal minima wins; if every
-    candidate fails the selection fails.
+    The objectives come from ``mse_pilot_objectives``, given ``sides``:
+    no fit is run.  Candidates where a fit would fail (too few
+    observations, singular design) are skipped, and the first of equal
+    minima wins; if every candidate fails the selection fails.
     """
     candidates = np.asarray(candidates, dtype=float)
     if candidates.size < 5:
         raise InvalidInputError("candidate grid needs >= 5 points")
     best_h, best_val = None, np.inf
-    for h, val in zip(candidates, mse_pilot_objectives(sample, column, kernel, p, candidates)):
+    objectives = mse_pilot_objectives(sample, eval_pt, kernel, p, candidates, sides)
+    for h, val in zip(candidates, objectives):
         if not isinstance(val, BddistError) and val < best_val:
             best_h, best_val = float(h), val
     if best_h is None:
         raise BandwidthSelectionError(
             f"no candidate bandwidth in [{candidates.min():.3g}, "
-            f"{candidates.max():.3g}] produced a valid fit at {tuple(column.eval_pt.tolist())}"
+            f"{candidates.max():.3g}] produced a valid fit at "
+            f"{tuple(as_point(eval_pt).tolist())}"
         )
     return best_h
 
@@ -316,11 +366,11 @@ def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline,
     unknown rule, a degenerate distance scale, or a resolved bandwidth
     outside (0, data diameter], NaN included.
 
-    The pilot rules build one distance column per point over every row (the
-    candidate grid starts at a percentile of |D| over the whole sample),
-    shared by the candidate grid and the pilot there.  The pilot orders
-    each side of the column by |D| once and takes every candidate's
-    objective from one table of powers of D (``mse_pilot_objectives``).
+    The pilot rules split the rows by side once per call.  At each point
+    each side takes one distance pass over all of its rows (the candidate
+    grid starts at a percentile of |D| over the whole sample) and one sort
+    by |D|; the sorted sides serve both the candidate grid and every
+    candidate's objective (``mse_pilot_objectives``).
 
     The exact data diameter (a convex hull) is computed up front for the
     pilot rules, whose candidate grids end at half of it.  For ``Fixed`` and
@@ -341,14 +391,14 @@ def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline,
     elif pilot:
         rot_h = (rot_bandwidth(sample, polyline, rule.c0, rule.exponent)
                  if isinstance(rule, KinkAdaptive) else None)
+        split = _split_sides(sample)
         outcomes = []
         for pt in grid.points:
             try:
-                column = build_distance_column(sample, pt)
-                h = mse_pilot_bandwidth(
-                    sample, column, kernel, p,
-                    candidate_bandwidths(column, diameter, rule.num_candidates),
-                )
+                sides = _point_sides(split, pt)
+                hs = candidate_bandwidths([s.mags for s in sides], diameter,
+                                          rule.num_candidates)
+                h = mse_pilot_bandwidth(sample, pt, kernel, p, hs, sides)
                 if rot_h is not None:
                     h = kink_adaptive_bandwidth(pt, polyline, h, rot_h)
             except BddistError as err:

@@ -359,6 +359,14 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
     for key in ("p", "seed"):
         if int(values[key]) < 0:
             raise InvalidInputError(f"{key} must be >= 0, got {values[key]}")
+    if args.command != "bias-oracle":
+        if int(values["band_draws"]) < 1000:
+            raise InvalidInputError(f"band-draws must be >= 1000, got {values['band_draws']}")
+        if values["bw_rule"] in ("rot", "kink"):
+            if not 0.0 < float(values["c0"]) < math.inf:
+                raise InvalidInputError(f"c0 must be positive and finite, got {values['c0']}")
+            if not math.isfinite(float(values["bw_exponent"])):
+                raise InvalidInputError(f"bw-exponent must be finite, got {values['bw_exponent']}")
     return SimpleNamespace(**values)
 
 

@@ -58,7 +58,9 @@ def row_blocks(n: int) -> list:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _euclidean(P, q):
+def point_distances(P, q) -> np.ndarray:
+    """Euclidean distances from the points ``P`` to ``q``, with no checks:
+    the magnitudes of ``signed_distances``, bit for bit."""
     return np.hypot(P[..., 0] - q[..., 0], P[..., 1] - q[..., 1])
 
 
@@ -71,7 +73,7 @@ def _segment_distance(P, a, b) -> np.ndarray:
 
 def distance(a, b) -> float:
     """Euclidean distance between two points."""
-    return float(_euclidean(as_point(a)[None, :], as_point(b))[0])
+    return float(point_distances(as_point(a)[None, :], as_point(b))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +307,7 @@ def signed_distances(P, eval_pt, treated) -> np.ndarray:
     """
     P = _as_points(P)
     q = as_point(eval_pt) if np.ndim(eval_pt) == 1 else _as_points(eval_pt)
-    d = _euclidean(P, q)
+    d = point_distances(P, q)
     sign = np.where(treated, 1.0, -1.0)
     return sign * d
 

@@ -126,6 +126,8 @@ def uniform_quantile(corr: np.ndarray, alpha: float, num_draws: int = DEFAULT_NU
     M = corr.shape[0]
     if corr.shape != (M, M):
         raise InvalidInputError("correlation matrix must be square")
+    if not np.isfinite(corr).all():
+        raise InvalidInputError("correlation matrix must be finite")
     if np.max(np.abs(np.diag(corr) - 1.0)) > 1e-8:
         raise InvalidInputError("correlation matrix must have unit diagonal")
     if factor is None:
@@ -140,6 +142,8 @@ def uniform_quantile(corr: np.ndarray, alpha: float, num_draws: int = DEFAULT_NU
     if factor.shape != (M, M):
         raise InvalidInputError(f"factor must be {M} x {M} like the correlation matrix, "
                                 f"got shape {factor.shape}")
+    if not np.isfinite(factor).all():
+        raise InvalidInputError("factor must be finite")
     maxima = _draw_maxima(factor, num_draws, seed)
     maxima.sort()
     k = math.ceil((1.0 - alpha) * num_draws)

@@ -58,7 +58,8 @@ class GramMatrix:
 
     Carries its symmetric eigendecomposition so solves and inverses reuse a
     single factorization, and the minimum eigenvalue used by the
-    well-posedness check.
+    well-posedness check.  ``solve`` also takes a stack of Grams, (..., q, q)
+    with eigenvalues (..., q), and right-hand sides stacked as (..., q, r).
     """
 
     matrix: np.ndarray
@@ -70,7 +71,9 @@ class GramMatrix:
         return float(self.eigenvalues[0])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.eigenvectors @ ((self.eigenvectors.T @ rhs) / self.eigenvalues)
+        V, lam = self.eigenvectors, self.eigenvalues
+        z = np.swapaxes(V, -1, -2) @ rhs
+        return V @ (z / (lam if z.ndim == lam.ndim else lam[..., None]))
 
     def inv_e1(self) -> np.ndarray:
         """First column of the inverse (the sandwich filter vector)."""

@@ -5,7 +5,13 @@ over every sample row, with fresh arrays and one product at a time.
 ``bddist.locpoly`` fits every grid point in one pass over the kept rows of
 all points; ``fit_grid`` and ``fit_point`` must equal these fits bit for
 bit.
+
+A ``DistanceColumn`` holds the signed distances of sample rows to one
+evaluation point, with their side mask; ``build_distance_column`` builds
+the column over every row.  The fit-based pilot oracle reads it too.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,9 +21,70 @@ from bddist.errors import (
     InvalidInputError,
     SingularGramError,
 )
-from bddist.geometry import as_point
-from bddist.kernels import DistanceColumn, build_distance_column, kh_weight
+from bddist.geometry import as_point, signed_distances
+from bddist.kernels import kh_weight
 from bddist.locpoly import MIN_GRAM_EIGENVALUE, GramMatrix, PointFit, SideFit, scaled_basis
+
+
+@dataclass(frozen=True)
+class DistanceColumn:
+    """Signed distances from the n sample rows to one evaluation point,
+    stored for the rows it keeps.
+
+    ``rows`` holds the ascending sample indices the column keeps (every row
+    of a column built from explicit values), ``values`` their signed
+    distances and ``treated`` their side mask, taken from the sample's rule
+    mask: True maps to D >= 0, False to D <= 0 (a control row at the point
+    itself scores -0.0).  The column's length is n, the size of the whole
+    sample and the denominator of every sample average.
+    """
+
+    eval_pt: np.ndarray
+    values: np.ndarray
+    treated: np.ndarray
+    rows: np.ndarray = None
+    n: int = None
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=float)
+        mask = np.asarray(self.treated, dtype=bool)
+        pt = as_point(self.eval_pt)
+        if vals.shape != mask.shape or vals.ndim != 1:
+            raise InvalidInputError("values and treated must be equal-length 1-d arrays")
+        if ((vals < 0.0) & mask).any() or ((vals > 0.0) & ~mask).any():
+            raise InvalidInputError("side mask inconsistent with sign of distances")
+        rows = np.arange(len(vals)) if self.rows is None else np.asarray(self.rows)
+        n = len(vals) if self.n is None else int(self.n)
+        if (rows.shape != vals.shape or (np.diff(rows) <= 0).any()
+                or ((rows < 0) | (rows >= n)).any()):
+            raise InvalidInputError(f"rows must be ascending indices into {n} sample rows, "
+                                    "one per value")
+        for arr in (vals, mask, pt, rows):
+            arr.setflags(write=False)
+        object.__setattr__(self, "eval_pt", pt)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "treated", mask)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n", n)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def side_mask(self, side: int) -> np.ndarray:
+        """Boolean mask of kept rows on side 0 (control) or 1 (treated)."""
+        if side not in (0, 1):
+            raise InvalidInputError(f"side must be 0 or 1, got {side}")
+        return self.treated if side == 1 else ~self.treated
+
+
+def build_distance_column(sample, eval_pt) -> DistanceColumn:
+    """Signed distance column of every sample row at one point.
+
+    ``sample.x`` and ``sample.treated`` are read as they are, with no
+    gather; the side of each row comes from ``sample.treated``.
+    """
+    pt = as_point(eval_pt)
+    return DistanceColumn(pt, signed_distances(sample.x, pt, sample.treated), sample.treated)
 
 
 def gram_from_design(B: np.ndarray, Bw: np.ndarray, n: int) -> GramMatrix:

@@ -31,7 +31,8 @@ from bddist.errors import (
     SingularGramError,
 )
 from bddist.geometry import BoundaryPolyline, QuadrantRule, make_grid
-from bddist.kernels import FAMILIES, build_distance_column
+from bddist.kernels import FAMILIES
+from fit_oracle import build_distance_column
 from pilot_oracle import mse_pilot_objective, objective_of_fits, pilot_fits
 
 RULE = QuadrantRule()
@@ -48,7 +49,8 @@ def square_sample(rng, n=2500, mean_fn=None, noise=1.0):
 def origin_pilot(sample, num):
     """Distance column at the origin and its candidate bandwidth grid."""
     column = build_distance_column(sample, (0.0, 0.0))
-    return column, candidate_bandwidths(column, data_diameter(sample.x), num)
+    mags = np.sort(np.abs(column.values))
+    return column, candidate_bandwidths([mags], data_diameter(sample.x), num)
 
 
 class TestRuleOfThumb:
@@ -131,7 +133,7 @@ class TestMsePilot:
         rng = np.random.default_rng(2)
         sample = square_sample(rng, n=2500, noise=1.0)
         col, H = origin_pilot(sample, 8)
-        h = mse_pilot_bandwidth(sample, col, "uniform", 1, H)
+        h = mse_pilot_bandwidth(sample, col.eval_pt, "uniform", 1, H)
         assert h == H[-1]
 
     def test_strong_curvature_zero_noise_selects_smallest(self):
@@ -143,7 +145,7 @@ class TestMsePilot:
 
         sample = square_sample(rng, n=4000, mean_fn=curved, noise=0.0)
         col, H = origin_pilot(sample, 8)
-        h = mse_pilot_bandwidth(sample, col, "uniform", 1, H)
+        h = mse_pilot_bandwidth(sample, col.eval_pt, "uniform", 1, H)
         assert h == H[0]
 
     def test_matches_fine_grid_scan(self):
@@ -155,7 +157,7 @@ class TestMsePilot:
 
         sample = square_sample(rng, n=3000, mean_fn=gentle, noise=0.4)
         col, H = origin_pilot(sample, 10)
-        h = mse_pilot_bandwidth(sample, col, "uniform", 1, H)
+        h = mse_pilot_bandwidth(sample, col.eval_pt, "uniform", 1, H)
         fine = np.geomspace(H[0], H[-1], 100)
         objs = []
         for hf in fine:
@@ -180,17 +182,16 @@ class TestMsePilot:
 
         sample = square_sample(rng, n=2000, mean_fn=gentle, noise=0.5)
         col, H = origin_pilot(sample, 8)
-        h1 = mse_pilot_bandwidth(sample, col, kernel, p, H)
+        h1 = mse_pilot_bandwidth(sample, col.eval_pt, kernel, p, H)
         scaled = Sample(b * sample.y + a, sample.x, sample.treated)
-        h2 = mse_pilot_bandwidth(scaled, col, kernel, p, H)
+        h2 = mse_pilot_bandwidth(scaled, col.eval_pt, kernel, p, H)
         assert h1 == h2
 
     def test_all_candidates_failing(self):
         rng = np.random.default_rng(6)
         sample = square_sample(rng, n=50)
         with pytest.raises(BandwidthSelectionError):
-            mse_pilot_bandwidth(sample, build_distance_column(sample, (0.0, 0.0)),
-                                "uniform", 1, np.full(6, 1e-9))
+            mse_pilot_bandwidth(sample, (0.0, 0.0), "uniform", 1, np.full(6, 1e-9))
 
     def test_candidate_grid_shape(self):
         rng = np.random.default_rng(7)
@@ -199,6 +200,62 @@ class TestMsePilot:
         assert len(H) == 15
         assert np.all(np.diff(np.log(H)) > 0)
         assert_allclose(H[-1], 0.5 * data_diameter(sample.x))
+
+
+def percentile_grid(mags, diameter, num):
+    """The candidate grid from ``np.percentile`` over the nonzero |D|: the
+    formula ``candidate_bandwidths`` must match bit for bit."""
+    mags = np.asarray(mags, dtype=float)
+    mags = mags[mags > 0.0]
+    if mags.size == 0:
+        raise InvalidInputError("all observations coincide with the evaluation point")
+    lo = float(np.percentile(mags, 5.0))
+    hi = 0.5 * diameter
+    if not lo < hi:
+        raise InvalidInputError(f"empty candidate range [{lo}, {hi}]")
+    return np.geomspace(lo, hi, num)
+
+
+@st.composite
+def magnitude_cases(draw):
+    """1-60 magnitudes with zeros (rows at the point), ties and duplicated
+    rows, dealt to one or two ascending sides, and a diameter that may
+    leave the candidate range empty."""
+    pool = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=60))
+    n = draw(st.integers(1, 60))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    mags = np.array(pool)[picks]
+    zeros = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    mags[np.array(zeros) == 0] = 0.0
+    treated = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    sides = [np.sort(mags[~treated]), np.sort(mags[treated])]
+    if draw(st.integers(0, 3)):
+        diameter = 4e3
+    else:
+        diameter = 2.0 * draw(st.sampled_from([0.0, *pool]))
+    return mags, sides, diameter
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=magnitude_cases(), num=st.integers(5, 20))
+def test_candidate_grid_matches_percentile_bit_for_bit(case, num):
+    mags, sides, diameter = case
+    try:
+        want = percentile_grid(mags, diameter, num)
+    except InvalidInputError as err:
+        with pytest.raises(InvalidInputError) as got:
+            candidate_bandwidths(sides, diameter, num)
+        assert str(got.value) == str(err)
+        return
+    got = candidate_bandwidths(sides, diameter, num)
+    assert got.tobytes() == want.tobytes()
+    assert candidate_bandwidths([np.sort(mags)], diameter, num).tobytes() == want.tobytes()
+
+
+def test_candidate_grid_rejects_unsorted_or_negative_magnitudes():
+    for mags in ([2.0, 1.0], [-1.0, 1.0], [[1.0, 2.0]]):
+        with pytest.raises(InvalidInputError, match="ascending nonnegative"):
+            candidate_bandwidths([np.array(mags)], 10.0, 5)
 
 
 @st.composite
@@ -256,7 +313,7 @@ def test_pilot_objectives_match_the_fit_oracle(case, kernel, p):
     Grams' conditioning and the intercepts' size allow; the same pick
     unless the oracle's own objectives tie to 1e-8 there."""
     sample, column, H = case
-    got = mse_pilot_objectives(sample, column, kernel, p, H)
+    got = mse_pilot_objectives(sample, column.eval_pt, kernel, p, H)
     want = oracle_outcomes(sample, column, kernel, p, H)
     assert [type(v) for v in got] == [type(v) if isinstance(v, BddistError) else float
                                       for v in want]
@@ -271,10 +328,10 @@ def test_pilot_objectives_match_the_fit_oracle(case, kernel, p):
         objectives.setdefault(float(h), objective)
     if not objectives:
         with pytest.raises(BandwidthSelectionError):
-            mse_pilot_bandwidth(sample, column, kernel, p, H)
+            mse_pilot_bandwidth(sample, column.eval_pt, kernel, p, H)
         return
     best_h = min(objectives, key=objectives.get)  # the first of equal minima
-    h = mse_pilot_bandwidth(sample, column, kernel, p, H)
+    h = mse_pilot_bandwidth(sample, column.eval_pt, kernel, p, H)
     assert h == best_h or abs(objectives[h] - objectives[best_h]) <= 1e-8 * objectives[best_h]
 
 
@@ -309,6 +366,20 @@ class TestResolve:
         hs_kink = resolve_bandwidths(KinkAdaptive(num_candidates=6), sample,
                                      self.PL, grid, "uniform", 1)
         assert np.all(np.asarray(hs_kink) <= np.asarray(hs_mse) + 1e-12)
+
+    def test_pilot_equals_the_pilot_at_each_point_alone(self):
+        # resolve_bandwidths shares each point's sorted sides between the
+        # grid and the pilot; each point alone gives the same bandwidth.
+        rng = np.random.default_rng(12)
+        sample = square_sample(rng, n=1500)
+        grid = make_grid(self.PL, 4)
+        hs = resolve_bandwidths(MsePilot(num_candidates=7), sample, self.PL, grid,
+                                "epanechnikov", 1)
+        diameter = data_diameter(sample.x)
+        for pt, h in zip(grid.points, hs):
+            mags = np.sort(np.abs(build_distance_column(sample, pt).values))
+            H = candidate_bandwidths([mags], diameter, 7)
+            assert h == mse_pilot_bandwidth(sample, pt, "epanechnikov", 1, H)
 
     def test_pilot_failure_stays_at_its_point(self):
         # Control data only left of the vertical segment: no candidate at

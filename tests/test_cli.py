@@ -407,21 +407,44 @@ class TestBadInputs:
         assert capsys.readouterr().err.startswith(
             "error: resolved bandwidths must lie in (0, data diameter = ")
 
-    @pytest.mark.parametrize("flag", ["--p", "--seed"])
+    @pytest.mark.parametrize("setting,message", [
+        pytest.param(["--p", "-1"], "p must be >= 0, got -1", id="--p"),
+        pytest.param(["--seed", "-1"], "seed must be >= 0, got -1", id="--seed"),
+        pytest.param(["--band-draws", "999"], "band-draws must be >= 1000, got 999",
+                     id="--band-draws=999"),
+        pytest.param(["--c0", "-1"], "c0 must be positive and finite, got -1.0",
+                     id="--c0=-1"),
+        pytest.param(["--c0", "0"], "c0 must be positive and finite, got 0.0", id="--c0=0"),
+        pytest.param(["--c0", "nan"], "c0 must be positive and finite, got nan",
+                     id="--c0=nan"),
+        pytest.param(["--bw-rule", "kink", "--c0", "inf"],
+                     "c0 must be positive and finite, got inf", id="kink--c0=inf"),
+        pytest.param(["--bw-exponent", "nan"], "bw-exponent must be finite, got nan",
+                     id="--bw-exponent=nan"),
+    ])
     @pytest.mark.parametrize("command", ["estimate", "simulate"])
     def test_negative_order_or_seed_is_one_error_line(self, tmp_path, boundary_file, capsys,
-                                                      command, flag):
-        # Both concern the whole run: one error line, exit 1, no fit or draw.
+                                                      command, setting, message):
+        # Settings of the whole run: one error line, exit 1, no fit or draw.
         if command == "estimate":
             argv = ["estimate", "--data", write_dataset(tmp_path, n=200),
                     "--boundary", boundary_file]
         else:
             argv = ["simulate", "--n", "400", "--reps", "2", "--c0", "6.0"]
-        argv += ["--grid-size", "3", "--band-draws", "1000", flag, "-1",
+        argv += ["--grid-size", "3", "--band-draws", "1000", *setting,
                  "--out", str(tmp_path / "out.csv")]
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {flag[2:]} must be >= 0, got -1\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("rule", [["fixed", "--h", "0.5"], ["mse"]])
+    def test_c0_and_exponent_are_ignored_by_rules_without_them(self, tmp_path,
+                                                                 boundary_file, rule):
+        data = write_dataset(tmp_path, n=200)
+        assert main(["estimate", "--data", data, "--boundary", boundary_file,
+                     "--grid-size", "3", "--bw-rule", *rule, "--c0", "nan",
+                     "--bw-exponent", "nan", "--out", str(tmp_path / "out.csv")]) != 1
+        assert (tmp_path / "out.csv").exists()
 
     def test_every_failed_replication_is_named(self, tmp_path, capsys):
         # At the default c0 = 1, n = 5000 leaves some grid point too few rows.
@@ -466,3 +489,22 @@ def test_cli_import_leaves_quadrature_unloaded():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_blas_thread_count_leaves_reports_unchanged(tmp_path, boundary_file):
+    # The kink rule runs the pilot's stacked products and solves, then the
+    # fits, the surface and the band: BLAS threads must not move a bit.
+    data = write_dataset(tmp_path, n=4000)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        out, cov = tmp_path / f"out{threads}.csv", tmp_path / f"cov{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bddist.cli", "estimate", "--data", data,
+             "--boundary", boundary_file, "--bw-rule", "kink", "--c0", "8",
+             "--precision", "full", "--out", str(out), "--dump-cov", str(cov)],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out.read_bytes(), cov.read_bytes()))
+    assert outputs[0] == outputs[1]

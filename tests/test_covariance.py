@@ -6,9 +6,8 @@ from bddist.covariance import build_surface, influence_values, regularize_correl
 from bddist.data import Sample
 from bddist.errors import DegenerateVarianceError, InvalidPairingError
 from bddist.geometry import QuadrantRule
-from bddist.kernels import DistanceColumn
 from bddist.locpoly import PointFit, fit_point, scaled_basis
-from fit_oracle import fit_side
+from fit_oracle import DistanceColumn, fit_side
 from sandwich_oracle import upsilon, xi_pair
 
 RULE = QuadrantRule()

@@ -140,6 +140,21 @@ class TestUniformQuantile:
         with pytest.raises(InvalidInputError):
             uniform_quantile(np.eye(2), 0.05, num_draws=500)
 
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "factor"])
+    def test_non_finite_correlation_or_factor_rejected(self, where):
+        # A NaN on the diagonal passes the unit-diagonal check (nan > 1e-8 is
+        # false); any NaN would otherwise come back as a NaN critical value.
+        corr, factor = np.eye(3), np.eye(3)
+        if where == "diagonal":
+            corr[1, 1] = np.nan
+        elif where == "off-diagonal":
+            corr[0, 2] = corr[2, 0] = np.nan
+        else:
+            factor[2, 1] = np.inf
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            uniform_quantile(corr, 0.05, num_draws=2000,
+                             factor=factor if where == "factor" else None)
+
     def test_non_psd_rejected_without_factor(self):
         corr = np.array([[1.0, 0.9, 0.2], [0.9, 1.0, 0.9], [0.2, 0.9, 1.0]])
         with pytest.raises(InvalidInputError):

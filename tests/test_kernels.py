@@ -5,13 +5,8 @@ from numpy.testing import assert_allclose
 from bddist.data import Sample
 from bddist.errors import InvalidBandwidthError, InvalidInputError
 from bddist.geometry import QuadrantRule, signed_distances
-from bddist.kernels import (
-    FAMILIES,
-    DistanceColumn,
-    build_distance_column,
-    kernel_eval,
-    kh_weight,
-)
+from bddist.kernels import FAMILIES, kernel_eval, kh_weight
+from fit_oracle import DistanceColumn, build_distance_column
 
 
 class TestKernelEval:

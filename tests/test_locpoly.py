@@ -15,10 +15,17 @@ from bddist.errors import (
     SingularGramError,
 )
 from bddist.geometry import ROW_BLOCK, BoundaryPolyline, QuadrantRule, make_grid, signed_distances
-from bddist.kernels import FAMILIES, DistanceColumn, build_distance_column
-from bddist.locpoly import PointFit, _support_rows, fit_grid, fit_point, scaled_basis
+from bddist.kernels import FAMILIES
+from bddist.locpoly import (
+    GramMatrix,
+    PointFit,
+    _support_rows,
+    fit_grid,
+    fit_point,
+    scaled_basis,
+)
 from fit_oracle import fit_point as oracle_fit_point
-from fit_oracle import fit_side, gram_from_design
+from fit_oracle import DistanceColumn, build_distance_column, fit_side, gram_from_design
 
 RULE = QuadrantRule()
 ORIGIN = np.zeros(2)
@@ -56,6 +63,20 @@ class TestGram:
         col = column_from_signed(rng.uniform(-1, 1, 60))
         g = fit_side(np.zeros(len(col)), col, 1, "triangular", 0.8, 2).gram
         assert np.max(np.abs(g.matrix - g.matrix.T)) < 1e-12
+
+    def test_stacked_solve_matches_each_gram(self):
+        # A stack of Grams solves each right-hand side column as its own
+        # Gram does, and as a dense solver does.
+        rng = np.random.default_rng(10)
+        A = rng.normal(size=(4, 2, 3, 3))
+        grams = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(3)
+        lam, vec = np.linalg.eigh(grams)
+        rhs = rng.normal(size=(4, 2, 3, 2))
+        got = GramMatrix(grams, lam, vec).solve(rhs)
+        for k, t, r in np.ndindex(4, 2, 2):
+            one = GramMatrix(grams[k, t], lam[k, t], vec[k, t]).solve(rhs[k, t, :, r])
+            assert_allclose(got[k, t, :, r], one, rtol=1e-12)
+        assert_allclose(got, np.linalg.solve(grams, rhs), rtol=1e-9)
 
 
 class TestFitSide:

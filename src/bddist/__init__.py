@@ -56,7 +56,6 @@ from .geometry import (
     distance,
     load_boundary,
     make_grid,
-    signed_distance,
     signed_distances,
 )
 from .inference import (
@@ -84,10 +83,8 @@ from .locpoly import (
 )
 from .oracle import (
     ArcScene,
-    BiasOracleResult,
     admissible_arcs,
     bias_functionals,
-    bias_oracle,
     corner_example_theta,
     fixed_h_bias,
     induced_theta,

@@ -81,7 +81,7 @@ def _read_header(reader, path) -> list[int]:
 def _read_rows(path):
     """Row-by-row parser behind ``read_dataset``: it defines the accepted
     input, and every error's class, row number and message."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         cols = _read_header(reader, path)
         ys, x1s, x2s = [], [], []
@@ -107,8 +107,9 @@ def read_dataset(path):
 
     The dialect: comma-separated, with a header row naming the columns in
     any order; any cell may be double-quoted; blank lines are skipped; there
-    are no comment lines.  A non-numeric or non-finite cell raises
-    DataParseError with its row number (the header is row 1).
+    are no comment lines; a leading UTF-8 byte-order mark is skipped.  A
+    non-numeric or non-finite cell raises DataParseError with its row
+    number (the header is row 1).
 
     Returns (y, x) arrays; the treatment indicator is never read from the
     file, it is derived later from the boundary's assignment rule.
@@ -118,7 +119,7 @@ def read_dataset(path):
     parser instead, so every input gives the same values or the same error
     either way.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         cols = _read_header(reader, path)
     # loadtxt skips physical lines, so a quoted newline in the header would

@@ -8,9 +8,10 @@ from .errors import InvalidInputError
 
 
 def read_json(path) -> dict:
-    """Parsed JSON object of a file; malformed JSON, or a top-level value
-    that is not an object, is an InvalidInputError."""
-    with open(path) as fh:
+    """Parsed JSON object of a file, after any UTF-8 byte-order mark;
+    malformed JSON, or a top-level value that is not an object, is an
+    InvalidInputError."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             value = json.load(fh)
         except json.JSONDecodeError as exc:

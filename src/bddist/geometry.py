@@ -312,12 +312,6 @@ def signed_distances(P, eval_pt, treated) -> np.ndarray:
     return sign * d
 
 
-def signed_distance(x_i, eval_pt, rule) -> float:
-    """Scalar signed distance score of one observation at one boundary point."""
-    P = as_point(x_i)[None, :]
-    return float(signed_distances(P, eval_pt, rule.contains(P))[0])
-
-
 # ---------------------------------------------------------------------------
 # Evaluation grids
 # ---------------------------------------------------------------------------

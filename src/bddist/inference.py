@@ -1,10 +1,16 @@
 """Pointwise confidence intervals and simulated uniform confidence bands.
 
-Pointwise intervals use the normal quantile.  Uniform bands share one
-critical value: the empirical (1 - alpha) quantile of the maximum absolute
-coordinate of mean-zero Gaussian draws whose correlation is the regularized
-estimate from the covariance surface.  Draws come from a counter-based
-generator so results are reproducible regardless of scheduling.
+Pointwise intervals use the normal quantile.  It comes from a port of
+Cephes ``ndtri`` (S. L. Moshier, *Methods and Programs for Mathematical
+Functions*, 1989), the algorithm ``scipy.special.ndtri`` computes, with
+the same coefficients, branches and Horner order: the same bits, without
+importing scipy.
+
+Uniform bands share one critical value: the empirical (1 - alpha) quantile
+of the maximum absolute coordinate of mean-zero Gaussian draws whose
+correlation is the regularized estimate from the covariance surface.
+Draws come from a counter-based generator so results are reproducible
+regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .covariance import CovarianceSurface
 from .errors import InvalidInputError, InvalidLevelError
@@ -30,6 +35,73 @@ DRAW_BUFFER_BYTES = 192 * 1024
 PERIMETER_MULTIPLE = 20.0
 
 
+# Cephes ndtri.c constants, digit for digit: sqrt(2 pi), exp(-2), and the
+# rational approximations' coefficients, highest power first.  Cephes omits
+# the leading 1 of each Q and adds x in p1evl; 1.0 * x + c is that sum exactly.
+_S2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189
+
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x, coef):
+    """coef[0] x^N + ... + coef[N] by Horner's rule, as Cephes polevl."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Phi^{-1}(y0), the Cephes ``ndtri`` algorithm step for step.
+
+    A rational approximation in y - 1/2 on exp(-2) < y < 1 - exp(-2);
+    beyond it, x = sqrt(-2 log y) of the nearer tail and a correction
+    rational in 1/x, one set of coefficients for x < 8 and one past it.
+    """
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if not 0.0 < y0 < 1.0:
+        return math.nan
+    negate = True
+    y = y0
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
 class BoundaryLengthWarning(UserWarning):
     """Local boundary arc length is large relative to the bandwidth."""
 
@@ -38,7 +110,7 @@ def normal_quantile(alpha: float) -> float:
     """Two-sided standard normal critical value, Phi^{-1}(1 - alpha/2)."""
     if not 0.0 < alpha < 1.0:
         raise InvalidLevelError(f"alpha must be in (0, 1), got {alpha}")
-    return float(ndtri(1.0 - alpha / 2.0))
+    return _ndtri(1.0 - alpha / 2.0)
 
 
 @dataclass(frozen=True)

@@ -249,23 +249,6 @@ def fixed_h_bias(kernel: str, p: int, h: float, s: float) -> float:
     return float(np.linalg.solve(A, B)[0])
 
 
-@dataclass(frozen=True)
-class BiasOracleResult:
-    """A(s/h), B(s/h), the bias value, and the quadrature error estimate."""
-
-    a_matrix: np.ndarray
-    b_vector: np.ndarray
-    bias: float
-    quadrature_error_estimate: float
-
-
-def bias_oracle(kernel: str, p: int, h: float, s: float) -> BiasOracleResult:
-    """Bundle the normalized functionals with the fixed-h bias value."""
-    A, B, err = bias_functionals(kernel, p, s / h, 1.0)
-    value = fixed_h_bias(kernel, p, h, s)
-    return BiasOracleResult(A, B, value, err)
-
-
 def population_tau(dgp, eval_pt) -> float:
     """True effect of a linear specification at a boundary point.
 

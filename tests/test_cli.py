@@ -117,6 +117,21 @@ class TestReadDataset:
         assert y.tolist() == [1.0]
         assert x.tolist() == [[2.0, 3.0]]
 
+    @pytest.mark.parametrize("body", [
+        "y,x1,x2\n1.0,2.0,3.0\n4.0,5.0,6.5\n",
+        'y,x1,x2,"a\n1,2,3,b"\n4,5,6,c\n7.5,8,9,d\n',
+    ], ids=["loadtxt", "row-parser"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, body):
+        # Spreadsheets save "CSV UTF-8" with a leading byte-order mark.  A
+        # quoted newline in the header sends the file to the row parser.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(body, encoding="utf-8")
+        marked.write_text("\ufeff" + body, encoding="utf-8")
+        assert read_outcome(read_dataset, marked) == read_outcome(read_dataset, plain)
+        assert read_outcome(_read_rows, marked) == read_outcome(_read_rows, plain)
+        y, _ = read_dataset(marked)
+        assert len(y) == 2
+
     def test_single_row_shapes(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("y,x1,x2\n1.0,2.0,3.0\n")
@@ -310,6 +325,20 @@ class TestEstimate:
         assert code == 0
         assert ",0.7," in (tmp_path / "b.csv").read_text().splitlines()[1]
 
+    def test_json_files_with_byte_order_mark(self, tmp_path, boundary_file):
+        data = write_dataset(tmp_path)
+        settings = {"data": data, "grid_size": 3, "bw_rule": "fixed", "h": 0.5}
+        marked = tmp_path / "marked_boundary.json"
+        marked.write_text("\ufeff" + json.dumps(BOUNDARY), encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("\ufeff" + json.dumps({**settings, "boundary": str(marked)}),
+                       encoding="utf-8")
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["estimate", "--data", data, "--boundary", boundary_file,
+                     "--grid-size", "3", "--bw-rule", "fixed", "--h", "0.5",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
 
 class TestSimulate:
     def test_byte_identical_reports(self, tmp_path):
@@ -480,15 +509,33 @@ class TestBadInputs:
             assert str(bad) in err
 
 
-def test_cli_import_leaves_quadrature_unloaded():
-    # Only the bias oracle integrates; estimate and simulate never pay for it.
+NO_SCIPY_PROBE = """
+import json, sys
+import bddist, bddist.cli
+argv = json.loads(sys.argv[1])
+code = bddist.cli.main(argv) if argv else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+@pytest.mark.parametrize("run", ["import", "simulate", "estimate-rot"])
+def test_runs_load_no_scipy(tmp_path, boundary_file, run):
+    # Only the pilot rules' convex hull and the bias oracle's quadrature need
+    # scipy, and each loads it on demand.
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "import": [],
+        "simulate": ["simulate", "--n", "2000", "--reps", "2", "--grid-size", "3",
+                     "--c0", "8", "--band-draws", "1000", "--out", out],
+        "estimate-rot": ["estimate", "--data", write_dataset(tmp_path), "--boundary",
+                         boundary_file, "--grid-size", "3", "--bw-rule", "rot",
+                         "--c0", "8", "--out", out],
+    }[run]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, bddist.cli; print('scipy.integrate' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert json.loads(proc.stdout) == [0, []]
 
 
 def test_blas_thread_count_leaves_reports_unchanged(tmp_path, boundary_file):

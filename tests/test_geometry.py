@@ -14,7 +14,6 @@ from bddist.geometry import (
     distance,
     load_boundary,
     make_grid,
-    signed_distance,
     signed_distances,
 )
 
@@ -54,21 +53,25 @@ class TestDistance:
 class TestSignedDistance:
     def test_treated_point(self):
         rule = QuadrantRule("+", "+")
-        assert_allclose(signed_distance((1, 1), (0, 0), rule), np.sqrt(2.0))
+        P = np.array([[1.0, 1.0]])
+        assert_allclose(signed_distances(P, (0, 0), rule.contains(P)), [np.sqrt(2.0)])
 
     def test_control_point(self):
         rule = QuadrantRule("+", "+")
-        assert signed_distance((-1, 0), (0, 0), rule) == -1.0
+        P = np.array([[-1.0, 0.0]])
+        assert signed_distances(P, (0, 0), rule.contains(P))[0] == -1.0
 
     def test_boundary_point_is_treated(self):
         rule = QuadrantRule("+", "+")
-        d = signed_distance((0, 0), (0, 0), rule)
+        P = np.array([[0.0, 0.0]])
+        d = signed_distances(P, (0, 0), rule.contains(P))[0]
         assert d == 0.0 and np.copysign(1.0, d) == 1.0
 
     def test_sign_tracks_membership_everywhere(self):
         # The sign flips exactly when the point crosses regions, no matter
         # which evaluation point is used; the vectorized form takes the
-        # membership mask and agrees with the per-point rule query.
+        # membership mask and agrees with one point at a time, each with
+        # its own rule query.
         rng = np.random.default_rng(7)
         for _ in range(10):
             raw = rng.uniform(-1, 1, size=(8, 2))
@@ -76,7 +79,8 @@ class TestSignedDistance:
             pts = rng.uniform(-1.5, 1.5, size=(60, 2))
             inside = hull_rule.contains(pts)
             for b in rng.uniform(-1, 1, size=(3, 2)):
-                d = np.array([signed_distance(pt, b, hull_rule) for pt in pts])
+                d = np.array([signed_distances(pt[None], b, hull_rule.contains(pt[None]))[0]
+                              for pt in pts])
                 assert np.array_equal(signed_distances(pts, b, inside), d)
                 off = np.abs(d) > 1e-9  # skip points that coincide with b
                 assert np.all((d[off] > 0) == inside[off])

@@ -12,6 +12,7 @@ from bddist.inference import (
     DRAW_BUFFER_BYTES,
     BoundaryLengthWarning,
     _draw_maxima,
+    _ndtri,
     normal_quantile,
     pointwise_ci,
     uniform_band,
@@ -32,6 +33,12 @@ def phi_inverse_oracle(prob, tol=1e-12):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def same_bits(a, b):
+    """Equal float bit patterns; any NaN matches any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(((a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))).all())
 
 
 def fitted_point(seed=0, n=240):
@@ -55,6 +62,34 @@ class TestNormalQuantile:
         for alpha in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(InvalidLevelError):
                 normal_quantile(alpha)
+
+    def test_equals_scipy_ndtri_bit_for_bit(self):
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        alphas = np.concatenate([
+            np.linspace(0.0, 1.0, 20001)[1:-1],
+            np.geomspace(1e-16, 1e-3, 2001),
+            [np.nextafter(1.0, 0.0), 2.0 * 0.13533528323661269189, 1e-17, 5e-324],
+        ])
+        # alpha = 1e-17 and 5e-324 leave 1 - alpha/2 == 1: the quantile is inf.
+        assert normal_quantile(1e-17) == math.inf
+        got = np.array([normal_quantile(float(a)) for a in alphas])
+        assert same_bits(got, ndtri(1.0 - alphas / 2.0))
+
+    def test_port_equals_scipy_ndtri_on_both_tails(self):
+        # Every branch: the central rational, the tail for x = sqrt(-2 log y)
+        # below 8 and past it, either side of each switch, down to the
+        # smallest subnormal, plus the ends and points outside (0, 1).
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        e2, e32 = 0.13533528323661269189, math.exp(-32.0)
+        edges = [e2, 1.0 - e2, e32, 1.0 - e32]
+        tail = np.geomspace(5e-324, 0.2, 4001)
+        ys = np.concatenate([
+            tail, 1.0 - tail, np.linspace(0.0, 1.0, 4001),
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            [np.nextafter(1.0, 0.0), -0.5, 1.5, math.nan],
+        ])
+        got = np.array([_ndtri(float(y)) for y in ys])
+        assert same_bits(got, ndtri(ys))
 
 
 class TestPointwiseCI:

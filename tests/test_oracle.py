@@ -9,7 +9,6 @@ from bddist.oracle import (
     ArcScene,
     admissible_arcs,
     bias_functionals,
-    bias_oracle,
     corner_example_theta,
     fixed_h_bias,
     induced_theta,
@@ -189,12 +188,15 @@ class TestFixedHBias:
         sup = max(abs(fixed_h_bias("uniform", 1, h, float(s))) for s in ss)
         assert 0.01 * h < sup < 1.0 * h
 
-    def test_oracle_bundle(self):
-        res = bias_oracle("uniform", 1, 0.5, 0.2)
-        assert res.a_matrix.shape == (2, 2)
-        assert res.b_vector.shape == (2,)
-        assert_allclose(res.bias, fixed_h_bias("uniform", 1, 0.5, 0.2), rtol=1e-12)
-        assert res.quadrature_error_estimate < 1e-8
+    def test_normalized_functionals_and_bias(self):
+        # A(s/h) and B(s/h) at unit bandwidth give the bias at h by scaling.
+        h, s = 0.5, 0.2
+        A, B, err = bias_functionals("uniform", 1, s / h, 1.0)
+        assert A.shape == (2, 2)
+        assert B.shape == (2,)
+        assert_allclose(h * np.linalg.solve(A, B)[0], fixed_h_bias("uniform", 1, h, s),
+                        rtol=1e-12)
+        assert err < 1e-8
 
 
 class TestPopulationTau:

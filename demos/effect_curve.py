@@ -8,16 +8,7 @@ effect curve.
 
 import numpy as np
 
-from bddist import (
-    RuleOfThumb,
-    build_surface,
-    fit_grid,
-    make_grid,
-    pointwise_ci,
-    population_tau,
-    resolve_bandwidths,
-    uniform_band,
-)
+from bddist import RuleOfThumb, estimate, make_grid, pointwise_ci, population_tau
 from bddist.simulation import default_dgp, draw_sample
 
 spec = default_dgp()
@@ -25,13 +16,12 @@ n = 20000
 sample = draw_sample(spec, n, seed=7)
 grid = make_grid(spec.boundary, 21)
 
-rule = RuleOfThumb(c0=8.0)
-hs = resolve_bandwidths(rule, sample, spec.boundary, grid, "triangular", p=1)
-print(f"n = {n}, rule-of-thumb bandwidth h = {hs[0]:.3f} (shared by all points)")
-
-fits = fit_grid(sample, grid, "triangular", hs, p=1)
-surface = build_surface(fits, grid=grid)
-band = uniform_band(fits, surface, alpha=0.05, num_draws=10000, seed=11)
+# Bandwidths, both one-sided fits at every point, the covariance surface
+# and the uniform band, in one call; every point fits on this draw.
+est = estimate(sample, grid, RuleOfThumb(c0=8.0), "triangular", p=1, alpha=0.05,
+               num_draws=10000, seed=11)
+fits, surface, band = est.fits, est.surface, est.band
+print(f"n = {n}, rule-of-thumb bandwidth h = {fits[0].h:.3f} (shared by all points)")
 print(f"simultaneous critical value: {band.quantile:.3f} "
       f"(pointwise uses 1.960)\n")
 

@@ -26,7 +26,6 @@ from .bandwidth import (
 from .covariance import (
     CovarianceSurface,
     build_surface,
-    influence_values,
     regularize_correlation,
 )
 from .data import Sample
@@ -61,7 +60,9 @@ from .geometry import (
 from .inference import (
     BandResult,
     BoundaryLengthWarning,
+    Estimate,
     IntervalResult,
+    estimate,
     normal_quantile,
     pointwise_ci,
     uniform_band,

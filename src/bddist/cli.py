@@ -19,23 +19,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import bandwidth as bw
-from .covariance import build_surface
 from .data import Sample
-from .errors import (
-    BandwidthSelectionError,
-    BddistError,
-    DataParseError,
-    DataSchemaError,
-    InsufficientDataError,
-    InvalidBandwidthError,
-    InvalidInputError,
-    SingularGramError,
-)
-from .formatting import format_number, read_json, write_csv
+from .errors import BddistError, DataParseError, DataSchemaError, InvalidInputError
+from .formatting import format_number, open_text, read_json, write_csv
 from .geometry import load_boundary, make_grid
-from .inference import pointwise_ci, uniform_band
+from .inference import estimate, pointwise_ci
 from .kernels import FAMILIES
-from .locpoly import PointFit, fit_point
 from .oracle import fixed_h_bias
 from .simulation import DgpSpec, default_dgp, describe_failures, run_monte_carlo
 
@@ -81,7 +70,7 @@ def _read_header(reader, path) -> list[int]:
 def _read_rows(path):
     """Row-by-row parser behind ``read_dataset``: it defines the accepted
     input, and every error's class, row number and message."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         cols = _read_header(reader, path)
         ys, x1s, x2s = [], [], []
@@ -119,7 +108,7 @@ def read_dataset(path):
     parser instead, so every input gives the same values or the same error
     either way.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         cols = _read_header(reader, path)
     # loadtxt skips physical lines, so a quoted newline in the header would
@@ -155,26 +144,11 @@ def _bandwidth_rule(cfg):
     raise InvalidInputError(f"unknown bandwidth rule {name!r}")
 
 
-_ERROR_CODES = {
-    InsufficientDataError: "insufficient-data",
-    SingularGramError: "singular-gram",
-    BandwidthSelectionError: "bandwidth-selection-failed",
-    InvalidBandwidthError: "invalid-bandwidth",
-}
-
-
-def _error_code(err) -> str:
-    for cls, code in _ERROR_CODES.items():
-        if isinstance(err, cls):
-            return code
-    return "error"
-
-
 def run_estimate(cfg: SimpleNamespace) -> int:
     """Per-point estimates, pointwise CIs, and the uniform band, as CSV.
 
-    Points whose fit fails are emitted with an error code; the exit status
-    is 2 when any point failed and 0 otherwise.
+    Points whose fit fails are emitted with their error's code; the exit
+    status is 2 when any point failed and 0 otherwise.
     """
     if cfg.boundary is None or cfg.data is None:
         raise InvalidInputError("estimate requires --boundary and --data")
@@ -182,63 +156,37 @@ def run_estimate(cfg: SimpleNamespace) -> int:
     y, x = read_dataset(cfg.data)
     sample = Sample.from_data(y, x, rule)
     grid = make_grid(polyline, int(cfg.grid_size))
-    p, kernel, alpha = int(cfg.p), cfg.kernel, float(cfg.alpha)
-    outcomes = bw.resolve_bandwidths(_bandwidth_rule(cfg), sample, polyline,
-                                     grid, kernel, p)
+    est = estimate(sample, grid, _bandwidth_rule(cfg), cfg.kernel, int(cfg.p),
+                   float(cfg.alpha), int(cfg.band_draws), int(cfg.seed))
 
-    fits: dict[int, PointFit] = {}
-    errors: dict[int, str] = {}
-    for k, h in enumerate(outcomes):
-        if isinstance(h, BddistError):
-            errors[k] = _error_code(h)
-            continue
-        try:
-            fits[k] = fit_point(sample, grid.points[k], kernel, h, p)
-        except BddistError as err:
-            errors[k] = _error_code(err)
-
-    se_by_key, band_by_key = {}, {}
-    if fits:
-        keys = sorted(fits)
-        surface = build_surface([fits[k] for k in keys], grid=grid)
-        band = uniform_band([fits[k] for k in keys], surface, alpha,
-                            int(cfg.band_draws), int(cfg.seed))
-        se_by_key = dict(zip(keys, surface.se))
-        band_by_key = dict(zip(keys, band.intervals))
+    prec = cfg.precision
+    band_by_key = {}  # the band's intervals carry each fitted point's se
+    if est.fitted:
+        band_by_key = dict(zip(est.fitted, est.band.intervals))
         if cfg.dump_cov:
             write_csv(cfg.dump_cov,
-                      [f"x{j + 1}" for j in range(len(keys))],
-                      [[format_number(v, cfg.precision) for v in row]
-                       for row in surface.xi])
+                      [f"x{j + 1}" for j in range(len(est.fitted))],
+                      [[format_number(v, prec) for v in row] for row in est.surface.xi])
 
     header = ["point_id", "b1", "b2", "h", "n_eff_0", "n_eff_1", "theta_hat",
               "se", "ci_lower", "ci_upper", "band_lower", "band_upper", "error"]
     rows = []
-    prec = cfg.precision
-    for k in range(grid.count):
-        b1, b2 = grid.points[k]
-        if k in errors:
-            rows.append([str(k + 1), format_number(b1, prec), format_number(b2, prec),
-                         "", "", "", "", "", "", "", "", "", errors[k]])
+    for k, fit in enumerate(est.points):
+        row = [str(k + 1), *(format_number(b, prec) for b in grid.points[k])]
+        if isinstance(fit, BddistError):
+            rows.append(row + [""] * 9 + [fit.code])
             continue
-        fit, se = fits[k], se_by_key[k]
-        ci = pointwise_ci(fit, se, alpha)
         bi = band_by_key[k]
-        rows.append([
-            str(k + 1),
-            format_number(b1, prec), format_number(b2, prec),
-            format_number(fit.h, prec),
-            str(fit.fit0.n_eff), str(fit.fit1.n_eff),
-            format_number(fit.theta_hat, prec), format_number(se, prec),
-            format_number(ci.lower, prec), format_number(ci.upper, prec),
-            format_number(bi.lower, prec), format_number(bi.upper, prec),
-            "",
-        ])
+        ci = pointwise_ci(fit, bi.se, est.alpha)
+        values = (fit.theta_hat, bi.se, ci.lower, ci.upper, bi.lower, bi.upper)
+        rows.append(row + [format_number(fit.h, prec), str(fit.fit0.n_eff), str(fit.fit1.n_eff),
+                           *(format_number(v, prec) for v in values), ""])
     write_csv(cfg.out if cfg.out else sys.stdout, header, rows)
-    if fits and errors:
-        print(f"warning: uniform band covers {len(fits)} of {grid.count} grid points",
+    failed = grid.count - len(est.fitted)
+    if est.fitted and failed:
+        print(f"warning: uniform band covers {len(est.fitted)} of {grid.count} grid points",
               file=sys.stderr)
-    return 2 if errors else 0
+    return 2 if failed else 0
 
 
 def _load_dgp(cfg) -> DgpSpec:

@@ -1,8 +1,9 @@
 """Cross-point residual covariance of the effect estimates along the grid.
 
 Each side contributes the empirical covariance of per-observation influence
-values of its intercept estimate, and the surface over the whole grid is
-assembled from them in one pass.  This equals the two-sided sum of sandwich
+values phi_i of its intercept estimate (``SideFit.influence``), n^{-2} sum_i
+phi_i(x1) phi_i(x2) between two points, and the surface over the whole grid
+is assembled from them in one pass.  This equals the two-sided sum of sandwich
 forms (nh^2)^{-1} e1' Psi(x1)^{-1} Upsilon(x1, x2) Psi(x2)^{-1} e1; the
 sandwich form is kept in the test suite as the reference oracle.
 
@@ -24,19 +25,6 @@ from .locpoly import PointFit
 
 # Eigenvalues of the correlation estimate are clipped from below at this floor.
 EIG_FLOOR = 1e-10
-
-
-def influence_values(fit: PointFit, side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Influence values phi_i of the side intercept estimate, on its support.
-
-    Returns ``(rows, phi)``: the side's positively weighted sample rows and
-    phi_i = e1' Psi^{-1} r_p(D_i/h) K_h(D_i) e_i there (phi_i is zero on every
-    other row), as the fit formed them.  The side covariance between two
-    points is n^{-2} sum_i phi_i(x1) phi_i(x2), which matches the sandwich
-    form exactly (the h^2 factors cancel).
-    """
-    sf = fit.side(side)
-    return sf.rows, sf.influence
 
 
 @dataclass(frozen=True)
@@ -99,14 +87,14 @@ def build_surface(fits: list, *, grid: EvalGrid | None = None) -> CovarianceSurf
     M = len(fits)
     xi = np.zeros((M, M))
     for side in (0, 1):
-        pieces = [influence_values(f, side) for f in fits]
-        rows = np.concatenate([r for r, _ in pieces])
-        point = np.repeat(np.arange(M), [r.size for r, _ in pieces])
+        sides = [f.side(side) for f in fits]
+        rows = np.concatenate([sf.rows for sf in sides])
+        point = np.repeat(np.arange(M), [sf.rows.size for sf in sides])
         in_union = np.zeros(n, dtype=bool)
         in_union[rows] = True
         union = np.flatnonzero(in_union)
         phi = np.zeros((M, union.size))
-        phi[point, np.searchsorted(union, rows)] = np.concatenate([v for _, v in pieces])
+        phi[point, np.searchsorted(union, rows)] = np.concatenate([sf.influence for sf in sides])
         xi += phi @ phi.T / (n * n)
     xi = 0.5 * (xi + xi.T)
     diag = np.diag(xi)

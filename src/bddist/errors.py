@@ -4,6 +4,8 @@
 class BddistError(Exception):
     """Base class for all errors raised by this package."""
 
+    code = "error"  # the error's name in the ``estimate`` report
+
 
 class InvalidInputError(BddistError, ValueError):
     """Inputs violate a documented contract (non-finite, wrong shape, bad range)."""
@@ -11,6 +13,8 @@ class InvalidInputError(BddistError, ValueError):
 
 class InvalidBandwidthError(InvalidInputError):
     """Bandwidth is not a positive finite number."""
+
+    code = "invalid-bandwidth"
 
 
 class InvalidLevelError(InvalidInputError):
@@ -24,6 +28,8 @@ class InvalidPairingError(InvalidInputError):
 class InsufficientDataError(BddistError):
     """Too few positively weighted observations on one side to fit."""
 
+    code = "insufficient-data"
+
     def __init__(self, side, n_eff, needed):
         self.side = side
         self.n_eff = n_eff
@@ -36,6 +42,8 @@ class InsufficientDataError(BddistError):
 
 class SingularGramError(BddistError):
     """Weighted second-moment matrix is numerically singular on one side."""
+
+    code = "singular-gram"
 
     def __init__(self, side, min_eigenvalue):
         self.side = side
@@ -64,6 +72,8 @@ class QuadratureError(BddistError):
 
 class BandwidthSelectionError(BddistError):
     """No candidate bandwidth produced a valid fit."""
+
+    code = "bandwidth-selection-failed"
 
 
 class DataSchemaError(BddistError):

@@ -3,15 +3,28 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .errors import InvalidInputError
 
 
+@contextmanager
+def open_text(path, newline=None):
+    """A UTF-8 text file, after any byte-order mark, opened for reading; bytes
+    that are not UTF-8, met inside the ``with`` block, raise InvalidInputError."""
+    with open(path, newline=newline, encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})") from None
+
+
 def read_json(path) -> dict:
     """Parsed JSON object of a file, after any UTF-8 byte-order mark;
-    malformed JSON, or a top-level value that is not an object, is an
-    InvalidInputError."""
-    with open(path, encoding="utf-8-sig") as fh:
+    bytes that are not UTF-8, malformed JSON, or a top-level value that is
+    not an object, is an InvalidInputError."""
+    with open_text(path) as fh:
         try:
             value = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -213,10 +213,6 @@ class BoundaryPolyline:
         inside = (disc > 0.0) & (hi > lo) & (r > 0.0)[:, None]
         return np.where(inside, (hi - lo) * np.sqrt(qa), 0.0).sum(axis=1)
 
-    def arclength_within(self, center, radius) -> float:
-        """Total polyline arc length inside the closed disk around ``center``."""
-        return float(self.arclengths_within(as_point(center)[None, :], [radius])[0])
-
 
 # ---------------------------------------------------------------------------
 # Assignment rules

@@ -1,4 +1,7 @@
-"""Pointwise confidence intervals and simulated uniform confidence bands.
+"""The estimation pipeline, pointwise intervals and simulated uniform bands.
+
+The pipeline, ``estimate``: ``resolve_bandwidths``, then ``fit_grid``, then
+``build_surface`` and ``uniform_band`` over the points that fit.
 
 Pointwise intervals use the normal quantile.  It comes from a port of
 Cephes ``ndtri`` (S. L. Moshier, *Methods and Programs for Mathematical
@@ -18,12 +21,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .covariance import CovarianceSurface
+from .bandwidth import resolve_bandwidths
+from .covariance import CovarianceSurface, build_surface
 from .errors import InvalidInputError, InvalidLevelError
-from .locpoly import PointFit
+from .geometry import EvalGrid
+from .kernels import DEFAULT_KERNEL
+from .locpoly import PointFit, fit_grid
 
 DEFAULT_NUM_DRAWS = 10000
 
@@ -224,12 +231,8 @@ def uniform_quantile(corr: np.ndarray, alpha: float, num_draws: int = DEFAULT_NU
 
 @dataclass(frozen=True)
 class BandResult:
-    """Uniform confidence band: per-point intervals sharing one critical value.
+    """Uniform confidence band: per-point intervals sharing one critical value."""
 
-    ``grid`` is the evaluation grid when the covariance surface carried one.
-    """
-
-    grid: object
     intervals: list
     quantile: float
     alpha: float
@@ -270,4 +273,44 @@ def uniform_band(fits: list, surface: CovarianceSurface, alpha: float = 0.05,
     q = uniform_quantile(surface.corr, alpha, num_draws, seed, factor=surface.factor)
     intervals = [_interval(fit, float(se), alpha, q)
                  for fit, se in zip(fits, surface.se)]
-    return BandResult(surface.grid, intervals, q, alpha, num_draws, seed)
+    return BandResult(intervals, q, alpha, num_draws, seed)
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """Per grid point, a PointFit or the BddistError its bandwidth or fit
+    raised.  ``surface`` and ``band`` cover the ``fitted`` points and are built
+    on first read, so an estimate whose points all failed builds neither."""
+
+    grid: EvalGrid
+    points: tuple
+    alpha: float
+    num_draws: int
+    seed: object
+
+    @property
+    def fitted(self) -> list[int]:
+        return [k for k, f in enumerate(self.points) if isinstance(f, PointFit)]
+
+    @property
+    def fits(self) -> list:
+        return [self.points[k] for k in self.fitted]
+
+    @cached_property
+    def surface(self) -> CovarianceSurface:
+        return build_surface(self.fits, grid=self.grid)
+
+    @cached_property
+    def band(self) -> BandResult:
+        return uniform_band(self.fits, self.surface, self.alpha, self.num_draws, self.seed)
+
+
+def estimate(sample, grid: EvalGrid, rule, kernel: str = DEFAULT_KERNEL, p: int = 1,
+             alpha: float = 0.05, num_draws: int = DEFAULT_NUM_DRAWS,
+             seed=0) -> Estimate:
+    """Effect estimates along ``grid``, under the bandwidth ``rule`` resolved on
+    ``grid.polyline``.  A failure of the whole rule raises; a point's failure
+    is kept as its entry.  ``seed`` (an int or SeedSequence) drives the band."""
+    hs = resolve_bandwidths(rule, sample, grid.polyline, grid, kernel, p)
+    return Estimate(grid, tuple(fit_grid(sample, grid, kernel, hs, p)), alpha, num_draws,
+                    seed)

@@ -167,6 +167,24 @@ def _support_rows(x, points, radii):
     return point, np.concatenate(found)
 
 
+def _support_segments(sample, pts, hs, kernel: str):
+    """``(counts, rows, d, w, u)``: the positively weighted rows of segment
+    t m + j (side t of point j) ascending, with their signed distances, kernel
+    weights and D/h.  The arrays for all kept rows formed on the way die with
+    this call, before the fits."""
+    point, rows = _support_rows(sample.x, pts, hs)
+    treated = sample.treated[rows]
+    d = signed_distances(sample.x[rows], pts[point], treated)
+    u = d / hs[point]
+    w = kernel_eval(kernel, u) / (hs * hs)[point]
+    pos = w > 0.0
+    by_side = [np.flatnonzero(pos & ~treated), np.flatnonzero(pos & treated)]
+    order = np.concatenate(by_side)
+    counts = np.concatenate([np.bincount(point[i], minlength=len(pts)) for i in by_side])
+    del point, treated, pos, by_side  # before the sorted copies are made
+    return counts, rows[order], d[order], w[order], u[order]
+
+
 def _fit_points(sample, points, kernel: str, hs, p: int) -> list:
     """Fits at ``points`` with bandwidths ``hs``, one entry per point.
 
@@ -187,34 +205,19 @@ def _fit_points(sample, points, kernel: str, hs, p: int) -> list:
     if not todo:
         return out
     n, m = len(sample), len(todo)
-    h_todo = np.array([hs[k] for k in todo], dtype=float)
-    pts = points[todo]
-    point, rows = _support_rows(sample.x, pts, h_todo)
-
-    # One elementwise pass over the kept rows of every point.
-    treated = sample.treated[rows]
-    h_row = h_todo[point]
-    d = signed_distances(sample.x[rows], pts[point], treated)
-    u = d / h_row
-    w = kernel_eval(kernel, u) / (h_row * h_row)
-    # Side by side, then point by point: segment t m + j holds side t of
-    # point j, its positively weighted rows ascending.
-    pos = w > 0.0
-    by_side = [np.flatnonzero(pos & ~treated), np.flatnonzero(pos & treated)]
-    order = np.concatenate(by_side)
-    counts = np.concatenate([np.bincount(point[i], minlength=m) for i in by_side])
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    rows, d, w, u = rows[order], d[order], w[order], u[order]
+    counts, rows, d, w, u = _support_segments(
+        sample, points[todo], np.array([hs[k] for k in todo], dtype=float), kernel)
     B = scaled_basis(u, p)
-    Bw = B * w[:, None]
+    segs = [slice(end - c, end) for c, end in zip(counts, np.cumsum(counts))]
     y = sample.y[rows]
 
     # Every product runs on one segment's rows alone: BLAS sums depend on
     # the operands' shapes, so a batched product would change the last bits.
+    # The weighted design is formed per segment too, never for all rows.
     grams = np.zeros((2 * m, p + 1, p + 1))
     for s in np.flatnonzero(counts >= p + 1):
-        seg = slice(bounds[s], bounds[s + 1])
-        grams[s] = Bw[seg].T @ B[seg]
+        Bs = B[segs[s]]
+        grams[s] = (Bs * w[segs[s], None]).T @ Bs
     grams /= n
     grams = 0.5 * (grams + grams.transpose(0, 2, 1))
     eigenvalues, eigenvectors = np.linalg.eigh(grams)
@@ -234,9 +237,9 @@ def _fit_points(sample, points, kernel: str, hs, p: int) -> list:
         else:
             sides = []
             for t, s in enumerate((j, m + j)):
-                seg = slice(bounds[s], bounds[s + 1])
+                seg = segs[s]
                 g = GramMatrix(grams[s], eigenvalues[s], eigenvectors[s])
-                gamma = g.solve(Bw[seg].T @ y[seg] / n)
+                gamma = g.solve((B[seg] * w[seg, None]).T @ y[seg] / n)
                 r, phi = residuals[seg], influence[seg]
                 np.subtract(y[seg], B[seg] @ gamma, out=r)
                 np.multiply(B[seg] @ g.inv_e1(), w[seg], out=phi)

@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bandwidth import RuleOfThumb, resolve_bandwidths
-from .covariance import build_surface
+from .bandwidth import RuleOfThumb
 from .data import Sample
 from .errors import BddistError, InvalidInputError
 from .formatting import format_number, write_csv
 from .geometry import BoundaryPolyline, EvalGrid, QuadrantRule, make_grid
-from .inference import normal_quantile, uniform_band
+from .inference import estimate, normal_quantile
 from .kernels import DEFAULT_KERNEL
-from .locpoly import PointFit, fit_grid
 from .oracle import population_tau
 
 DEFAULT_GRID_SIZE = 21
@@ -235,12 +233,12 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
                     p: int = 1, kernel: str = DEFAULT_KERNEL,
                     bw_rule=None, alpha: float = 0.05,
                     band_draws: int = 10000, seed: int = 0) -> McReport:
-    """Repeatedly draw, fit the grid, and tabulate coverage.
+    """Repeatedly draw, run ``estimate`` on the grid, and tabulate coverage.
 
     Replications whose bandwidth selection or fits fail anywhere on the grid
     are counted by error class and excluded; a failure rate above 5 percent
     flags the report as invalid.  Replication seeds are split off the master seed, so
-    the report is reproducible bit for bit.
+    the report is reproducible bit for bit.  ``grid`` lies on ``spec.boundary``.
     """
     if reps < 1:
         raise InvalidInputError(f"need reps >= 1, got {reps}")
@@ -264,22 +262,19 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
         draw_seq, band_seq = child.spawn(2)
         sample = draw_sample(spec, n, draw_seq)
         try:
-            hs = resolve_bandwidths(bw_rule, sample, spec.boundary, grid, kernel, p)
-            fits = fit_grid(sample, grid, kernel, hs, p)
-            failed = [f for f in fits if not isinstance(f, PointFit)]
+            est = estimate(sample, grid, bw_rule, kernel, p, alpha, band_draws, band_seq)
+            failed = [f for f in est.points if isinstance(f, BddistError)]
             if failed:
                 raise failed[0]
-            surface = build_surface(fits, grid=grid)
-            band = uniform_band(fits, surface, alpha, band_draws, band_seq)
+            se[r] = est.surface.se
+            band_q[r] = est.band.quantile
         except BddistError as err:
             name = type(err).__name__
             count, message = failures.get(name, (0, str(err)))
             failures[name] = (count + 1, message)
             continue
-        theta[r] = [f.theta_hat for f in fits]
-        se[r] = surface.se
-        h_used[r] = hs
-        band_q[r] = band.quantile
+        theta[r] = [f.theta_hat for f in est.points]
+        h_used[r] = [f.h for f in est.points]
         ok[r] = True
 
     used = int(ok.sum())

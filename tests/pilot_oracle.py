@@ -7,7 +7,6 @@ computes the same objectives from one table of powers of D per side;
 these functions check it.
 """
 
-from bddist.covariance import influence_values
 from fit_oracle import fit_point
 
 
@@ -23,7 +22,7 @@ def objective_of_fits(fit_p, fit_p1) -> float:
     gap plus the variance estimate of the order-p fit."""
     bias_proxy = fit_p.theta_hat - fit_p1.theta_hat
     n = fit_p.n
-    (_, phi0), (_, phi1) = (influence_values(fit_p, side) for side in (0, 1))
+    phi0, phi1 = (fit_p.side(t).influence for t in (0, 1))
     variance = float(phi0 @ phi0 + phi1 @ phi1) / (n * n)
     return bias_proxy * bias_proxy + variance
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bddist import cli
 from bddist.bandwidth import KinkAdaptive, MsePilot, resolve_bandwidths
 from bddist.cli import _read_rows, main, read_dataset
 from bddist.data import Sample
@@ -386,6 +387,21 @@ class TestSimulate:
         biases = [abs(float(r.split(",")[4])) for r in rows]
         assert max(biases) < 0.5
 
+    def test_run_monte_carlo_is_looked_up_in_the_cli_module(self, tmp_path, monkeypatch):
+        # The benchmark's worker patches this name to count failed replications.
+        reports = []
+        run = cli.run_monte_carlo
+
+        def capture(*args, **kwargs):
+            reports.append(run(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_monte_carlo", capture)
+        assert main(["simulate", "--n", "2000", "--reps", "2", "--grid-size", "3",
+                     "--c0", "8", "--band-draws", "1000",
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        assert len(reports) == 1 and reports[0].reps_used == 2
+
 
 class TestBiasOracle:
     def test_csv_output(self, tmp_path):
@@ -494,12 +510,16 @@ class TestBadInputs:
         (["simulate", "--dgp", "{bad}"], '[{"a": 1}]'),
         (["simulate", "--boundary", "{bad}"], '[{"a": 1}]'),
         (["simulate", "--dgp", "{bad}"], '{"sigma0": "a"}'),
+        (["estimate", "--config", "{bad}"], b"\xff\xfe{}"),
+        (["simulate", "--dgp", "{bad}"], b'{"sigma0": "\xff"}'),
+        (["simulate", "--boundary", "{bad}"], b"\xff\xfe{}"),
     ], ids=["config", "dgp", "boundary", "s-grid-count", "s-grid-list",
-            "config-list", "dgp-list", "boundary-list", "dgp-field-type"])
+            "config-list", "dgp-list", "boundary-list", "dgp-field-type",
+            "config-not-utf8", "dgp-not-utf8", "boundary-not-utf8"])
     def test_malformed_input_is_an_error_not_a_traceback(self, tmp_path, capsys, argv,
                                                           content):
         bad = tmp_path / "bad.json"
-        bad.write_text(content)
+        bad.write_bytes(content.encode() if isinstance(content, str) else content)
         argv = [str(bad) if a == "{bad}" else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err
@@ -507,6 +527,20 @@ class TestBadInputs:
         assert "Traceback" not in err
         if str(bad) in argv:
             assert str(bad) in err
+
+    @pytest.mark.parametrize("header", [b"y,x1,x2", b'y,x1,x2,"a\nb"'],
+                             ids=["loadtxt", "row-parser"])
+    @pytest.mark.parametrize("good_rows", [1, 2000], ids=["first-block", "later-block"])
+    def test_csv_not_utf8_is_one_error_line(self, tmp_path, capsys, boundary_file, header,
+                                            good_rows):
+        # A quoted newline in the header sends the file to the row parser.
+        # Past the first 8 KiB, the header reads cleanly and the bad byte is
+        # met by loadtxt, then by the row parser.
+        path = tmp_path / "d.csv"
+        path.write_bytes(header + b"\n" + b"1,2,3,4\n" * good_rows + b"4,5,\xff,6\n")
+        assert main(["estimate", "--data", str(path), "--boundary", boundary_file,
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (byte 0xff)\n"
 
 
 NO_SCIPY_PROBE = """

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bddist.covariance import build_surface, influence_values, regularize_correlation
+from bddist.covariance import build_surface, regularize_correlation
 from bddist.data import Sample
 from bddist.errors import DegenerateVarianceError, InvalidPairingError
 from bddist.geometry import QuadrantRule
@@ -211,9 +211,9 @@ class TestInfluenceValues:
         n = len(sample)
 
         def dense(fit, side):
-            rows, phi = influence_values(fit, side)
+            sf = fit.side(side)
             out = np.zeros(n)
-            out[rows] = phi
+            out[sf.rows] = sf.influence
             return out
 
         total = sum(float(dense(fa, side) @ dense(fb, side)) / (n * n) for side in (0, 1))

@@ -146,9 +146,9 @@ class TestPolyline:
 
     def test_arclength_within_straight_segment(self):
         pl = BoundaryPolyline(np.array([[-5.0, 0.0], [5.0, 0.0]]))
-        assert_allclose(pl.arclength_within((0, 0), 2.0), 4.0)
-        assert_allclose(pl.arclength_within((0, 1.0), 2.0), 2 * np.sqrt(3.0))
-        assert pl.arclength_within((0, 3.0), 2.0) == 0.0
+        assert_allclose(pl.arclengths_within([(0, 0)], [2.0]), [4.0])
+        assert_allclose(pl.arclengths_within([(0, 1.0)], [2.0]), [2 * np.sqrt(3.0)])
+        assert pl.arclengths_within([(0, 3.0)], [2.0])[0] == 0.0
 
     def test_arclengths_within_many_disks(self):
         # Disks around the kink, tangent to a segment, missing the polyline,
@@ -158,7 +158,8 @@ class TestPolyline:
         radii = [1.5, 1.0, 1.0, 0.5, 0.0, 10.0]
         expected = [3.0, 1.0 + 2 * np.sqrt(0.75), 0.0, 0.0, 0.0, 4.0]
         assert_allclose(pl.arclengths_within(centers, radii), expected, rtol=1e-14)
-        assert pl.arclength_within((0.5, 0.5), 1.0) == pl.arclengths_within(centers, radii)[1]
+        assert (pl.arclengths_within([(0.5, 0.5)], [1.0])[0]
+                == pl.arclengths_within(centers, radii)[1])
         with pytest.raises(InvalidInputError, match="one radius per center"):
             pl.arclengths_within(centers, radii[:-1])
 

@@ -4,21 +4,25 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bddist.inference
+from bddist.bandwidth import Fixed, KinkAdaptive, MsePilot, RuleOfThumb, resolve_bandwidths
 from bddist.covariance import build_surface, regularize_correlation
 from bddist.data import Sample
-from bddist.errors import InvalidInputError, InvalidLevelError
+from bddist.errors import BddistError, InvalidInputError, InvalidLevelError
 from bddist.geometry import BoundaryPolyline, QuadrantRule, make_grid
 from bddist.inference import (
     DRAW_BUFFER_BYTES,
     BoundaryLengthWarning,
     _draw_maxima,
     _ndtri,
+    estimate,
     normal_quantile,
     pointwise_ci,
     uniform_band,
     uniform_quantile,
 )
-from bddist.locpoly import fit_point
+from bddist.locpoly import PointFit, fit_grid, fit_point
+from bddist.simulation import default_dgp, draw_sample, run_monte_carlo
 
 RULE = QuadrantRule()
 
@@ -267,7 +271,7 @@ class TestUniformBand:
         xs = np.arange(0, 81) * (h / 40.0)
         vertices = np.column_stack([xs, np.where(np.arange(81) % 2, 0.9 * h, 0.0)])
         pl = BoundaryPolyline.from_vertices(vertices)
-        assert pl.arclength_within((0.1, 0.0), h) > 20 * h
+        assert pl.arclengths_within([(0.1, 0.0)], [h])[0] > 20 * h
 
         rng = np.random.default_rng(13)
         x = rng.uniform(-1, 1, (1200, 2))
@@ -280,3 +284,81 @@ class TestUniformBand:
             uniform_band(fits, surface, 0.05, num_draws=2000, seed=8)
         # Points print as plain floats, not numpy scalar reprs.
         assert "np.float64" not in str(record[0].message)
+
+
+PIPELINE_RULES = {"fixed": Fixed(5.0), "rot": RuleOfThumb(c0=8.0), "mse": MsePilot(),
+                  "kink": KinkAdaptive(c0=8.0)}
+
+
+def pipeline_sample(partial):
+    """A default-DGP draw; ``partial`` drops the rows with x1 >= 18, so the
+    far end of the boundary's horizontal arm has no data to fit."""
+    sample = draw_sample(default_dgp(), 4000, 5)
+    if partial:
+        keep = sample.x[:, 0] < 18.0
+        sample = Sample(sample.y[keep], sample.x[keep], sample.treated[keep])
+    return sample
+
+
+def count_surfaces(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build_surface(*args, **kwargs)
+
+    monkeypatch.setattr(bddist.inference, "build_surface", counted)
+    return calls
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+    @pytest.mark.parametrize("name", sorted(PIPELINE_RULES))
+    def test_equals_the_sequence_it_runs(self, name, partial):
+        sample, rule = pipeline_sample(partial), PIPELINE_RULES[name]
+        grid = make_grid(default_dgp().boundary, 9)
+        est = estimate(sample, grid, rule, "epanechnikov", 1, 0.1, 2000, 17)
+
+        hs = resolve_bandwidths(rule, sample, grid.polyline, grid, "epanechnikov", 1)
+        points = fit_grid(sample, grid, "epanechnikov", hs, 1)
+        fits = [f for f in points if isinstance(f, PointFit)]
+        surface = build_surface(fits, grid=grid)
+        band = uniform_band(fits, surface, 0.1, 2000, 17)
+
+        assert est.fitted == [k for k, f in enumerate(points) if isinstance(f, PointFit)]
+        assert (len(est.fitted) < grid.count) == (partial and name in ("fixed", "rot"))
+        for got, want in zip(est.points, points, strict=True):
+            assert type(got) is type(want)
+            if isinstance(want, BddistError):
+                assert str(got) == str(want)
+                continue
+            assert got.h == want.h
+            for t in (0, 1):
+                g, w = got.side(t), want.side(t)
+                assert np.array_equal(g.rows, w.rows)
+                assert same_bits(g.gamma_hat, w.gamma_hat)
+                assert same_bits(g.influence, w.influence)
+        for attr in ("xi", "corr", "factor"):
+            assert same_bits(getattr(est.surface, attr), getattr(surface, attr))
+        assert est.band.quantile == band.quantile
+        assert same_bits(est.band.lower, band.lower)
+        assert same_bits(est.band.upper, band.upper)
+
+    def test_surface_is_built_once_and_only_when_read(self, monkeypatch):
+        calls = count_surfaces(monkeypatch)
+        grid = make_grid(default_dgp().boundary, 5)
+        est = estimate(pipeline_sample(False), grid, RuleOfThumb(c0=8.0), num_draws=1000)
+        assert calls == []
+        assert est.band is est.band and est.surface is est.surface
+        assert calls == [1]
+
+    def test_failed_points_build_no_surface(self, monkeypatch):
+        calls = count_surfaces(monkeypatch)
+        grid = make_grid(default_dgp().boundary, 5)
+        est = estimate(pipeline_sample(False), grid, Fixed(0.01))
+        assert est.fitted == []
+        assert all(isinstance(f, BddistError) for f in est.points)
+        # Every replication has a failed point: each Estimate is discarded.
+        with pytest.raises(BddistError, match="every replication failed"):
+            run_monte_carlo(default_dgp(), 2000, 3, grid=grid, bw_rule=Fixed(1.0))
+        assert calls == []

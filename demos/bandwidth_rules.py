@@ -37,7 +37,7 @@ rules = {
     "kink adaptive": KinkAdaptive(c0=8.0, num_candidates=10),
 }
 resolved = {
-    name: resolve_bandwidths(rule, sample, spec.boundary, grid, "triangular", p=1)
+    name: resolve_bandwidths(rule, sample, grid, "triangular", p=1)
     for name, rule in rules.items()
 }
 

@@ -356,9 +356,9 @@ class KinkAdaptive:
 BandwidthRule = Fixed | RuleOfThumb | MsePilot | KinkAdaptive
 
 
-def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline,
-                       grid, kernel: str, p: int) -> list:
-    """Per-evaluation-point bandwidth outcomes under the given rule.
+def resolve_bandwidths(rule, sample, grid, kernel: str, p: int) -> list:
+    """Per-evaluation-point bandwidth outcomes under the given rule, on the
+    boundary ``grid.polyline``.
 
     Returns one entry per grid point: the bandwidth as a float, or the
     BddistError raised while selecting it at that point (the convention of
@@ -387,9 +387,9 @@ def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline,
     if isinstance(rule, Fixed):
         outcomes = [float(rule.h)] * grid.count
     elif isinstance(rule, RuleOfThumb):
-        outcomes = [rot_bandwidth(sample, polyline, rule.c0, rule.exponent)] * grid.count
+        outcomes = [rot_bandwidth(sample, grid.polyline, rule.c0, rule.exponent)] * grid.count
     elif pilot:
-        rot_h = (rot_bandwidth(sample, polyline, rule.c0, rule.exponent)
+        rot_h = (rot_bandwidth(sample, grid.polyline, rule.c0, rule.exponent)
                  if isinstance(rule, KinkAdaptive) else None)
         split = _split_sides(sample)
         outcomes = []
@@ -400,7 +400,7 @@ def resolve_bandwidths(rule, sample, polyline: BoundaryPolyline,
                                           rule.num_candidates)
                 h = mse_pilot_bandwidth(sample, pt, kernel, p, hs, sides)
                 if rot_h is not None:
-                    h = kink_adaptive_bandwidth(pt, polyline, h, rot_h)
+                    h = kink_adaptive_bandwidth(pt, grid.polyline, h, rot_h)
             except BddistError as err:
                 h = err
             outcomes.append(h)

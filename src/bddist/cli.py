@@ -2,7 +2,7 @@
 
 Configuration precedence is built-in defaults, then values from an optional
 --config JSON file (keys mirror the flag names with underscores), then
-explicitly supplied flags.
+explicitly supplied flags.  Config keys are shared; flags are not.
 """
 
 from __future__ import annotations
@@ -249,19 +249,24 @@ def run_bias_oracle(cfg: SimpleNamespace) -> int:
 
 def _add_common(sp):
     sp.add_argument("--config", help="JSON file mirroring the flags; flags win")
-    sp.add_argument("--boundary", help="boundary spec JSON file")
-    sp.add_argument("--grid-size", type=int, dest="grid_size")
     sp.add_argument("--p", type=int)
     sp.add_argument("--kernel", choices=FAMILIES)
+    sp.add_argument("--h", type=float)
+    sp.add_argument("--out")
+    sp.add_argument("--precision", choices=("human", "full"))
+
+
+def _add_pipeline(sp):
+    """The common flags and those of the estimation pipeline."""
+    _add_common(sp)
+    sp.add_argument("--boundary", help="boundary spec JSON file")
+    sp.add_argument("--grid-size", type=int, dest="grid_size")
     sp.add_argument("--alpha", type=float)
     sp.add_argument("--bw-rule", choices=("fixed", "rot", "mse", "kink"), dest="bw_rule")
     sp.add_argument("--c0", type=float)
-    sp.add_argument("--h", type=float)
     sp.add_argument("--bw-exponent", type=float, dest="bw_exponent")
     sp.add_argument("--band-draws", type=int, dest="band_draws")
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--out")
-    sp.add_argument("--precision", choices=("human", "full"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="effect curve with CIs and a uniform band")
-    _add_common(est)
+    _add_pipeline(est)
     est.add_argument("--data", help="CSV with columns y, x1, x2")
     est.add_argument("--dump-cov", dest="dump_cov", help="write the covariance matrix CSV")
 
     sim = sub.add_parser("simulate", help="Monte Carlo coverage study")
-    _add_common(sim)
+    _add_pipeline(sim)
     sim.add_argument("--n", type=int)
     sim.add_argument("--reps", type=int)
     sim.add_argument("--dgp", help="JSON overriding DGP fields")
@@ -301,14 +306,15 @@ def build_config(args: argparse.Namespace) -> SimpleNamespace:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         values.update(file_values)
     values.update(supplied)
-    if not 0.0 < float(values["alpha"]) < 1.0:
-        raise InvalidInputError(f"alpha must be in (0, 1), got {values['alpha']}")
-    if int(values["grid_size"]) < 1:
-        raise InvalidInputError("grid-size must be >= 1")
-    for key in ("p", "seed"):
-        if int(values[key]) < 0:
-            raise InvalidInputError(f"{key} must be >= 0, got {values[key]}")
+    if int(values["p"]) < 0:
+        raise InvalidInputError(f"p must be >= 0, got {values['p']}")
     if args.command != "bias-oracle":
+        if not 0.0 < float(values["alpha"]) < 1.0:
+            raise InvalidInputError(f"alpha must be in (0, 1), got {values['alpha']}")
+        if int(values["grid_size"]) < 1:
+            raise InvalidInputError("grid-size must be >= 1")
+        if int(values["seed"]) < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {values['seed']}")
         if int(values["band_draws"]) < 1000:
             raise InvalidInputError(f"band-draws must be >= 1000, got {values['band_draws']}")
         if values["bw_rule"] in ("rot", "kink"):

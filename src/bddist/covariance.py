@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVarianceError, InvalidInputError, InvalidPairingError
-from .geometry import EvalGrid
 from .locpoly import PointFit
 
 # Eigenvalues of the correlation estimate are clipped from below at this floor.
@@ -32,14 +31,11 @@ class CovarianceSurface:
     """Grid-by-grid covariance matrix and its regularized correlation.
 
     ``factor`` satisfies corr = factor @ factor.T and is reused as the
-    square-root in the Gaussian band simulation.  ``grid`` is the evaluation
-    grid the fits came from when the caller supplied one (its polyline feeds
-    the boundary-length warnings; the fits may cover only some of its
-    points), otherwise None.  ``regularization_applied`` says whether any
-    eigenvalue of the correlation fell below EIG_FLOOR and was clipped.
+    square-root in the Gaussian band simulation.  ``regularization_applied``
+    says whether any eigenvalue of the correlation fell below EIG_FLOOR and
+    was clipped.
     """
 
-    grid: EvalGrid | None
     xi: np.ndarray
     corr: np.ndarray
     factor: np.ndarray
@@ -71,7 +67,7 @@ def regularize_correlation(corr: np.ndarray):
     return reg, factor, applied
 
 
-def build_surface(fits: list, *, grid: EvalGrid | None = None) -> CovarianceSurface:
+def build_surface(fits: list) -> CovarianceSurface:
     """Assemble the covariance surface over all grid fits.
 
     All fits must have succeeded on the same sample; its size n is read from
@@ -106,4 +102,4 @@ def build_surface(fits: list, *, grid: EvalGrid | None = None) -> CovarianceSurf
         )
     corr = xi / np.sqrt(diag[:, None] * diag[None, :])
     corr, factor, applied = regularize_correlation(corr)
-    return CovarianceSurface(grid, xi, corr, factor, applied)
+    return CovarianceSurface(xi, corr, factor, applied)

@@ -38,7 +38,8 @@ DEFAULT_NUM_DRAWS = 10000
 # buffers, 1 170 rows each at M = 21, stay in a core's L2 cache.
 DRAW_BUFFER_BYTES = 192 * 1024
 
-# Warn when the boundary arc inside a kernel support is this many times h.
+# Warn when the boundary arc inside a kernel support is this many times h:
+# the band's strong approximation needs that arc to stay of order h.
 PERIMETER_MULTIPLE = 20.0
 
 
@@ -250,26 +251,9 @@ class BandResult:
 
 def uniform_band(fits: list, surface: CovarianceSurface, alpha: float = 0.05,
                  num_draws: int = DEFAULT_NUM_DRAWS, seed: int = 0) -> BandResult:
-    """Simultaneous confidence band over all grid fits.
-
-    When the surface carries the grid, emits BoundaryLengthWarning for
-    evaluation points whose local boundary arc length inside the kernel
-    support exceeds PERIMETER_MULTIPLE times the bandwidth (the band's
-    validity degrades on very wiggly boundaries).
-    """
+    """Simultaneous confidence band over all grid fits."""
     if len(fits) != surface.corr.shape[0]:
         raise InvalidInputError("fits and surface have mismatched grid sizes")
-    if surface.grid is not None:
-        arcs = surface.grid.polyline.arclengths_within([fit.eval_pt for fit in fits],
-                                                       [fit.h for fit in fits])
-        for fit, arc in zip(fits, arcs):
-            if arc > PERIMETER_MULTIPLE * fit.h:
-                warnings.warn(
-                    f"boundary arc length {arc:.3g} inside the kernel support at "
-                    f"{tuple(fit.eval_pt.tolist())} exceeds {PERIMETER_MULTIPLE:g} x h",
-                    BoundaryLengthWarning,
-                    stacklevel=2,
-                )
     q = uniform_quantile(surface.corr, alpha, num_draws, seed, factor=surface.factor)
     intervals = [_interval(fit, float(se), alpha, q)
                  for fit, se in zip(fits, surface.se)]
@@ -298,7 +282,7 @@ class Estimate:
 
     @cached_property
     def surface(self) -> CovarianceSurface:
-        return build_surface(self.fits, grid=self.grid)
+        return build_surface(self.fits)
 
     @cached_property
     def band(self) -> BandResult:
@@ -310,7 +294,18 @@ def estimate(sample, grid: EvalGrid, rule, kernel: str = DEFAULT_KERNEL, p: int 
              seed=0) -> Estimate:
     """Effect estimates along ``grid``, under the bandwidth ``rule`` resolved on
     ``grid.polyline``.  A failure of the whole rule raises; a point's failure
-    is kept as its entry.  ``seed`` (an int or SeedSequence) drives the band."""
-    hs = resolve_bandwidths(rule, sample, grid.polyline, grid, kernel, p)
-    return Estimate(grid, tuple(fit_grid(sample, grid, kernel, hs, p)), alpha, num_draws,
-                    seed)
+    is kept as its entry.  ``seed`` (an int or SeedSequence) drives the band.
+    Emits BoundaryLengthWarning, located at the caller, for each fitted point
+    whose boundary arc inside the kernel support exceeds PERIMETER_MULTIPLE h."""
+    hs = resolve_bandwidths(rule, sample, grid, kernel, p)
+    est = Estimate(grid, tuple(fit_grid(sample, grid, kernel, hs, p)), alpha, num_draws, seed)
+    fits = est.fits
+    if fits:  # arclengths_within rejects an empty array of centers
+        arcs = grid.polyline.arclengths_within([fit.eval_pt for fit in fits],
+                                               [fit.h for fit in fits])
+        for fit, arc in zip(fits, arcs):
+            if arc > PERIMETER_MULTIPLE * fit.h:
+                warnings.warn(f"boundary arc length {arc:.3g} inside the kernel support at "
+                              f"{tuple(fit.eval_pt.tolist())} exceeds {PERIMETER_MULTIPLE:g} x h",
+                              BoundaryLengthWarning, stacklevel=2)
+    return est

@@ -342,11 +342,9 @@ class TestResolve:
         rng = np.random.default_rng(8)
         sample = square_sample(rng, n=600)
         grid = make_grid(self.PL, 3)
-        hs = resolve_bandwidths(Fixed(0.5), sample, self.PL, grid,
-                                "uniform", 1)
+        hs = resolve_bandwidths(Fixed(0.5), sample, grid, "uniform", 1)
         assert_allclose(hs, 0.5)
-        hs = resolve_bandwidths(RuleOfThumb(c0=2.0), sample, self.PL,
-                                grid, "uniform", 1)
+        hs = resolve_bandwidths(RuleOfThumb(c0=2.0), sample, grid, "uniform", 1)
         assert np.unique(hs).size == 1
 
     def test_fixed_above_diameter_rejected(self):
@@ -354,17 +352,16 @@ class TestResolve:
         sample = square_sample(rng, n=100)
         grid = make_grid(self.PL, 2)
         with pytest.raises(InvalidBandwidthError):
-            resolve_bandwidths(Fixed(50.0), sample, self.PL, grid,
-                               "uniform", 1)
+            resolve_bandwidths(Fixed(50.0), sample, grid, "uniform", 1)
 
     def test_kink_adaptive_capped_by_pilot(self):
         rng = np.random.default_rng(10)
         sample = square_sample(rng, n=1500)
         grid = make_grid(self.PL, 5)
-        hs_mse = resolve_bandwidths(MsePilot(num_candidates=6), sample, self.PL,
-                                    grid, "uniform", 1)
-        hs_kink = resolve_bandwidths(KinkAdaptive(num_candidates=6), sample,
-                                     self.PL, grid, "uniform", 1)
+        hs_mse = resolve_bandwidths(MsePilot(num_candidates=6), sample, grid,
+                                    "uniform", 1)
+        hs_kink = resolve_bandwidths(KinkAdaptive(num_candidates=6), sample, grid,
+                                     "uniform", 1)
         assert np.all(np.asarray(hs_kink) <= np.asarray(hs_mse) + 1e-12)
 
     def test_pilot_equals_the_pilot_at_each_point_alone(self):
@@ -373,7 +370,7 @@ class TestResolve:
         rng = np.random.default_rng(12)
         sample = square_sample(rng, n=1500)
         grid = make_grid(self.PL, 4)
-        hs = resolve_bandwidths(MsePilot(num_candidates=7), sample, self.PL, grid,
+        hs = resolve_bandwidths(MsePilot(num_candidates=7), sample, grid,
                                 "epanechnikov", 1)
         diameter = data_diameter(sample.x)
         for pt, h in zip(grid.points, hs):
@@ -391,7 +388,7 @@ class TestResolve:
         sample = Sample.from_data(rng.normal(size=600), x, RULE)
         grid = make_grid(self.PL, 3)
         for rule in (MsePilot(), KinkAdaptive(c0=8.0)):
-            hs = resolve_bandwidths(rule, sample, self.PL, grid, "triangular", 1)
+            hs = resolve_bandwidths(rule, sample, grid, "triangular", 1)
             assert [type(h) for h in hs] == [float, float, BandwidthSelectionError]
             assert str(hs[2]).endswith("produced a valid fit at (1.0, 0.0)")
 
@@ -448,9 +445,9 @@ class TestDiameterGuard:
         sample = self.sample()
         grid = make_grid(self.PL, 3)
         monkeypatch.setattr(bandwidth, "data_diameter", hull_called)
-        assert resolve_bandwidths(Fixed(0.5), sample, self.PL, grid, "uniform", 1) \
+        assert resolve_bandwidths(Fixed(0.5), sample, grid, "uniform", 1) \
             == [0.5] * 3
-        hs = resolve_bandwidths(RuleOfThumb(c0=2.0), sample, self.PL, grid, "uniform", 1)
+        hs = resolve_bandwidths(RuleOfThumb(c0=2.0), sample, grid, "uniform", 1)
         assert len(hs) == 3
 
     def test_h_between_extent_and_diameter_passes(self):
@@ -459,7 +456,7 @@ class TestDiameterGuard:
         extent, diameter = coordinate_extent(sample.x), data_diameter(sample.x)
         assert extent < diameter
         for h in np.linspace(extent, diameter, 5)[1:]:
-            hs = resolve_bandwidths(Fixed(float(h)), sample, self.PL, grid, "uniform", 1)
+            hs = resolve_bandwidths(Fixed(float(h)), sample, grid, "uniform", 1)
             assert hs == [float(h)] * 2
 
     def test_h_above_diameter_names_exact_diameter(self):
@@ -468,7 +465,7 @@ class TestDiameterGuard:
         diameter = data_diameter(sample.x)
         with pytest.raises(InvalidBandwidthError) as err:
             resolve_bandwidths(Fixed(float(np.nextafter(diameter, np.inf))), sample,
-                               self.PL, grid, "uniform", 1)
+                               grid, "uniform", 1)
         assert str(err.value) == (
             f"resolved bandwidths must lie in (0, data diameter = {diameter:.6g}]")
 
@@ -477,11 +474,11 @@ class TestDiameterGuard:
         sample = Sample.from_data([0.0], [[0.5, 0.5]], RULE)
         grid = make_grid(self.PL, 2)
         with pytest.raises(InvalidInputError, match="at least 2 points"):
-            resolve_bandwidths(rule, sample, self.PL, grid, "uniform", 1)
+            resolve_bandwidths(rule, sample, grid, "uniform", 1)
 
     @pytest.mark.parametrize("h", [0.0, -1.0, np.nan])
     def test_nonpositive_h_rejected(self, h):
         sample = self.sample()
         grid = make_grid(self.PL, 2)
         with pytest.raises(InvalidBandwidthError):
-            resolve_bandwidths(Fixed(h), sample, self.PL, grid, "uniform", 1)
+            resolve_bandwidths(Fixed(h), sample, grid, "uniform", 1)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -264,8 +265,7 @@ class TestEstimate:
         polyline, rule = load_boundary(boundary_file)
         y, x = read_dataset(data)
         expected = resolve_bandwidths(PILOT_RULES[name], Sample.from_data(y, x, rule),
-                                      polyline, make_grid(polyline, 3),
-                                      "triangular", 1)
+                                      make_grid(polyline, 3), "triangular", 1)
         assert [float(row["h"]) for row in read_rows(out)] == [float(h) for h in expected]
 
     @pytest.mark.parametrize("name", sorted(PILOT_RULES))
@@ -423,6 +423,36 @@ class TestBiasOracle:
         main(["bias-oracle", "--h", "1.0", "--s-grid", "0.1,0.2",
               "--out", str(out)])
         assert len(out.read_text().strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--boundary", "b.json"), ("--grid-size", "3"), ("--alpha", "2"), ("--bw-rule", "rot"),
+        ("--c0", "8"), ("--bw-exponent", "0.25"), ("--band-draws", "1000"), ("--seed", "1"),
+    ])
+    def test_flags_it_does_not_read_are_rejected(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bias.csv"
+        with pytest.raises(SystemExit) as exit_:
+            main(["bias-oracle", "--s-grid", "0.1", flag, value, "--out", str(out)])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_lists_only_the_flags_it_reads(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bias-oracle", "--help"])
+        assert exit_.value.code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == {
+            "--help", "--config", "--p", "--kernel", "--h", "--out", "--precision",
+            "--s-grid"}
+
+    def test_pipeline_config_keys_are_not_checked(self, tmp_path):
+        # Config keys are shared; bias-oracle checks only those it reads.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 2, "grid_size": 0, "seed": -1}))
+        out = tmp_path / "bias.csv"
+        assert main(["bias-oracle", "--config", str(cfg), "--s-grid", "0.1",
+                     "--out", str(out)]) == 0
+        assert out.exists()
+        assert main(["estimate", "--config", str(cfg)]) == 1
 
 
 class TestBadInputs:
@@ -589,3 +619,27 @@ def test_blas_thread_count_leaves_reports_unchanged(tmp_path, boundary_file):
         assert proc.returncode == 0, proc.stderr
         outputs.append((out.read_bytes(), cov.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_boundary_length_warning_names_the_cli(tmp_path):
+    # A zigzag packs far more than 20 h of boundary arc into each kernel
+    # support; the warning on stderr names the caller of estimate.
+    h = 0.1
+    xs = np.arange(0, 81) * (h / 40.0)
+    zigzag = {"vertices": np.column_stack([xs, np.where(np.arange(81) % 2, 0.9 * h, 0.0)]
+                                          ).tolist(),
+              "assignment": BOUNDARY["assignment"]}
+    boundary = tmp_path / "zigzag.json"
+    boundary.write_text(json.dumps(zigzag))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "bddist.cli", "estimate", "--data",
+         write_dataset(tmp_path, n=4000), "--boundary", str(boundary), "--grid-size", "3",
+         "--bw-rule", "fixed", "--h", str(h), "--kernel", "uniform", "--p", "0",
+         "--band-draws", "1000", "--out", str(tmp_path / "out.csv")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    warned = [line for line in proc.stderr.splitlines() if "BoundaryLengthWarning" in line]
+    assert len(warned) == 3
+    assert all(f"{os.sep}bddist{os.sep}cli.py:" in line for line in warned)
+    assert "inference.py" not in proc.stderr

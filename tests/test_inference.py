@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bddist.inference
@@ -21,6 +24,7 @@ from bddist.inference import (
     uniform_band,
     uniform_quantile,
 )
+from bddist.kernels import FAMILIES
 from bddist.locpoly import PointFit, fit_grid, fit_point
 from bddist.simulation import default_dgp, draw_sample, run_monte_carlo
 
@@ -226,6 +230,13 @@ class TestUniformQuantile:
             uniform_quantile(np.eye(3), 0.05, num_draws=1000, factor=np.ones(shape))
 
 
+def zigzag(h):
+    """A boundary packing far more than 20 h of arc inside a disk of radius h."""
+    xs = np.arange(0, 81) * (h / 40.0)
+    return BoundaryPolyline.from_vertices(
+        np.column_stack([xs, np.where(np.arange(81) % 2, 0.9 * h, 0.0)]))
+
+
 def grid_fits(seed=12, n=900, M=5, h=0.9):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, (n, 2))
@@ -234,7 +245,7 @@ def grid_fits(seed=12, n=900, M=5, h=0.9):
     pl = BoundaryPolyline.from_vertices([(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
     grid = make_grid(pl, M)
     fits = [fit_point(sample, b, "triangular", h, 1) for b in grid.points]
-    surface = build_surface(fits, grid=grid)
+    surface = build_surface(fits)
     return fits, surface
 
 
@@ -266,24 +277,26 @@ class TestUniformBand:
         assert np.array_equal(b1.lower, b2.lower)
 
     def test_wiggly_boundary_warns(self):
-        # Zigzag packing far more than 20 h of arc inside the kernel support.
         h = 0.1
-        xs = np.arange(0, 81) * (h / 40.0)
-        vertices = np.column_stack([xs, np.where(np.arange(81) % 2, 0.9 * h, 0.0)])
-        pl = BoundaryPolyline.from_vertices(vertices)
+        pl = zigzag(h)
         assert pl.arclengths_within([(0.1, 0.0)], [h])[0] > 20 * h
 
         rng = np.random.default_rng(13)
         x = rng.uniform(-1, 1, (1200, 2))
         y = rng.normal(size=1200)
         sample = Sample.from_data(y, x, RULE)
-        grid = make_grid(pl, 3)
-        fits = [fit_point(sample, b, "uniform", h, 0) for b in grid.points]
-        surface = build_surface(fits, grid=grid)
         with pytest.warns(BoundaryLengthWarning) as record:
-            uniform_band(fits, surface, 0.05, num_draws=2000, seed=8)
+            est = estimate(sample, make_grid(pl, 3), Fixed(h), "uniform", 0, num_draws=2000,
+                           seed=8)
+        assert len(record) == len(est.fitted) == 3
+        # The warning names the caller of estimate.
+        assert record[0].filename == __file__
         # Points print as plain floats, not numpy scalar reprs.
         assert "np.float64" not in str(record[0].message)
+        # The band itself does not warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryLengthWarning)
+            uniform_band(est.fits, est.surface, 0.05, num_draws=2000, seed=8)
 
 
 PIPELINE_RULES = {"fixed": Fixed(5.0), "rot": RuleOfThumb(c0=8.0), "mse": MsePilot(),
@@ -319,10 +332,10 @@ class TestEstimate:
         grid = make_grid(default_dgp().boundary, 9)
         est = estimate(sample, grid, rule, "epanechnikov", 1, 0.1, 2000, 17)
 
-        hs = resolve_bandwidths(rule, sample, grid.polyline, grid, "epanechnikov", 1)
+        hs = resolve_bandwidths(rule, sample, grid, "epanechnikov", 1)
         points = fit_grid(sample, grid, "epanechnikov", hs, 1)
         fits = [f for f in points if isinstance(f, PointFit)]
-        surface = build_surface(fits, grid=grid)
+        surface = build_surface(fits)
         band = uniform_band(fits, surface, 0.1, 2000, 17)
 
         assert est.fitted == [k for k, f in enumerate(points) if isinstance(f, PointFit)]
@@ -362,3 +375,69 @@ class TestEstimate:
         with pytest.raises(BddistError, match="every replication failed"):
             run_monte_carlo(default_dgp(), 2000, 3, grid=grid, bw_rule=Fixed(1.0))
         assert calls == []
+
+    def test_failed_points_on_a_wiggly_boundary_do_not_warn(self, monkeypatch):
+        calls = count_surfaces(monkeypatch)
+        # No row lies within h of the zigzag, so every point fails.
+        rng = np.random.default_rng(14)
+        x = rng.uniform(0.5, 1.0, (400, 2)) * rng.choice([-1.0, 1.0], (400, 1))
+        sample = Sample.from_data(rng.normal(size=400), x, RULE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryLengthWarning)
+            est = estimate(sample, make_grid(zigzag(0.1), 3), Fixed(0.1), "uniform", 0)
+        assert est.fitted == []
+        assert calls == []
+
+
+class TestAffineOutcome:
+    """y -> a + b y leaves h and n_eff alone, maps theta_hat to b theta_hat
+    and se to |b| se.
+
+    Tolerance: each side's intercept solves its Gram system for a weighted
+    sum over its n_eff rows.  After the shift the sum is rounded to within
+    n_eff eps times the data scale S = |a| + |b| max|y| (the bound for a
+    floating-point sum), each of the p + 1 coefficients carries that error,
+    and the solve amplifies it by at most the Gram's condition number kappa.
+    So the intercepts and residuals move by at most E = (p + 1) n_eff eps
+    kappa S, n_eff and kappa the larger of the two sides, and theta_hat by
+    at most 2 E.  A residual error e moves each influence value by at most
+    |e| (p + 1) w_i / lambda_min, as |D/h| <= 1 bounds the basis by 1; so se
+    moves by at most E times the norm of those factors over n, plus a few
+    eps of se for its own rounding.  The error grows with |a| / |b|: the
+    worst of 1500 random cases was 0.8 sqrt(n_eff) eps kappa S on theta_hat.
+    """
+
+    RULES = {"fixed": Fixed(0.6), "rot": RuleOfThumb(c0=8.0)}
+    GRID = make_grid(BoundaryPolyline.from_vertices([(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)]), 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(100, 800),
+           a=st.floats(-1e6, 1e6), b=st.floats(1e-3, 1e3), sign=st.sampled_from([-1.0, 1.0]),
+           rule=st.sampled_from(sorted(RULES)), kernel=st.sampled_from(FAMILIES),
+           p=st.integers(0, 2))
+    def test_affine_change_of_y(self, seed, n, a, b, sign, rule, kernel, p):
+        b *= sign
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1, 1, (n, 2))
+        y = np.where(RULE.contains(x), 1.0, 0.0) + x[:, 0] ** 2 + rng.normal(size=n)
+        base = estimate(Sample.from_data(y, x, RULE), self.GRID, self.RULES[rule], kernel, p)
+        moved = estimate(Sample.from_data(a + b * y, x, RULE), self.GRID, self.RULES[rule],
+                         kernel, p)
+        assert moved.fitted == base.fitted
+        assert [str(f) for f in moved.points if isinstance(f, BddistError)] \
+            == [str(f) for f in base.points if isinstance(f, BddistError)]
+        if not base.fitted:
+            return
+        scale = abs(a) + abs(b) * np.abs(y).max()
+        eps = np.finfo(float).eps
+        for f, g, se, se_moved in zip(base.fits, moved.fits, base.surface.se,
+                                      moved.surface.se, strict=True):
+            assert g.h == f.h
+            assert (g.fit0.n_eff, g.fit1.n_eff) == (f.fit0.n_eff, f.fit1.n_eff)
+            sides = (f.fit0, f.fit1)
+            kappa = max(s.gram.eigenvalues[-1] / s.gram.eigenvalues[0] for s in sides)
+            bound = (p + 1) * max(s.n_eff for s in sides) * eps * kappa * scale
+            assert abs(g.theta_hat - b * f.theta_hat) <= 2 * bound
+            spread = math.sqrt(sum(((p + 1) / s.gram.eigenvalues[0]) ** 2
+                                   * np.sum(s.weights ** 2) for s in sides)) / f.n
+            assert abs(se_moved - abs(b) * se) <= bound * spread + 4 * eps * abs(b) * se

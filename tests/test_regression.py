@@ -34,11 +34,11 @@ GRID = make_grid(SPEC.boundary, 21)
 
 
 def _pipeline(sample, rule, grid=GRID):
-    hs = resolve_bandwidths(rule, sample, SPEC.boundary, grid, "triangular", 1)
+    hs = resolve_bandwidths(rule, sample, grid, "triangular", 1)
     fits = fit_grid(sample, grid, "triangular", hs, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        surface = build_surface(fits, grid=grid)
+        surface = build_surface(fits)
         band = uniform_band(fits, surface, 0.05, 2000, 0)
     return fits, surface, band
 

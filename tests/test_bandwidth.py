@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -258,32 +258,40 @@ def test_candidate_grid_rejects_unsorted_or_negative_magnitudes():
             candidate_bandwidths([np.array(mags)], 10.0, 5)
 
 
-@st.composite
-def pilot_cases(draw):
+def pilot_case(seed, kind, n, duplicate, lo, hi, num, picks):
     """A sample, its distance column at the origin and a candidate grid.
 
     Supports range from two-sided and dense to near-empty (a handful of
     rows) and one-sided (no control row near the point).  Some candidates
     equal a row's |D| exactly, so rows sit on the edge of the support.
     """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["two-sided", "near-empty", "one-sided"]))
-    n = draw(st.integers(2, 12)) if kind == "near-empty" else draw(st.integers(10, 400))
+    rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (n, 2))
     if kind == "one-sided":
         # Control rows move more than 0.8 away from the origin.
         x = np.where(RULE.contains(x)[:, None], x, x - 0.8)
-    if draw(st.booleans()):
+    if duplicate:
         x = np.vstack([x, x[: n // 2]])
     y = rng.normal(size=len(x)) + x[:, 0] ** 2
     sample = Sample.from_data(y, x, RULE)
     column = build_distance_column(sample, (0.0, 0.0))
     mags = np.abs(column.values)
-    num = draw(st.integers(5, 12))
-    H = np.geomspace(draw(st.floats(0.02, 0.5)), draw(st.floats(0.6, 3.0)), num)
-    picks = draw(st.lists(st.integers(0, len(mags) - 1), max_size=3))
+    H = np.geomspace(lo, hi, num)
     H = np.concatenate([H, mags[picks][mags[picks] > 0.0]])
     return sample, column, H
+
+
+@st.composite
+def pilot_cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["two-sided", "near-empty", "one-sided"]))
+    n = draw(st.integers(2, 12)) if kind == "near-empty" else draw(st.integers(10, 400))
+    duplicate = draw(st.booleans())
+    num = draw(st.integers(5, 12))
+    lo, hi = draw(st.floats(0.02, 0.5)), draw(st.floats(0.6, 3.0))
+    picks = draw(st.lists(st.integers(0, n + (n // 2 if duplicate else 0) - 1),
+                          max_size=3))
+    return pilot_case(seed, kind, n, duplicate, lo, hi, num, picks)
 
 
 def oracle_outcomes(sample, column, kernel, p, H):
@@ -308,31 +316,42 @@ def oracle_outcomes(sample, column, kernel, p, H):
 
 @settings(max_examples=200, deadline=None)
 @given(case=pilot_cases(), kernel=st.sampled_from(FAMILIES), p=st.integers(0, 2))
+# Every row lies within the three largest candidates: under the uniform kernel
+# their objectives are equal, and Grams with condition numbers near 1e9 round
+# them apart in the eighth digit.
+@example(case=pilot_case(163, "near-empty", 8, False, 0.5, 2.90625, 5, []),
+         kernel="uniform", p=2)
 def test_pilot_objectives_match_the_fit_oracle(case, kernel, p):
     """Same failures as the fits; objectives within the rounding that the
-    Grams' conditioning and the intercepts' size allow; the same pick
-    unless the oracle's own objectives tie to 1e-8 there."""
+    Grams' conditioning and the intercepts' size allow; the pick is the first
+    minimum of those objectives, so the oracle's objective there exceeds its
+    own minimum by at most the rounding allowed at the two candidates."""
     sample, column, H = case
     got = mse_pilot_objectives(sample, column.eval_pt, kernel, p, H)
     want = oracle_outcomes(sample, column, kernel, p, H)
     assert [type(v) for v in got] == [type(v) if isinstance(v, BddistError) else float
                                       for v in want]
-    objectives = {}
+    objectives, rounding, ours = {}, {}, {}
     for h, g, w in zip(H, got, want):
         if isinstance(w, BddistError):
             if not isinstance(w, SingularGramError):
                 assert str(g) == str(w)
             continue
         objective, kappa, scale = w
-        assert abs(g - objective) <= 1e-13 * kappa * (objective + scale * scale)
+        allowed = 1e-13 * kappa * (objective + scale * scale)
+        assert abs(g - objective) <= allowed
         objectives.setdefault(float(h), objective)
+        rounding.setdefault(float(h), allowed)
+        ours.setdefault(float(h), g)
     if not objectives:
         with pytest.raises(BandwidthSelectionError):
             mse_pilot_bandwidth(sample, column.eval_pt, kernel, p, H)
         return
     best_h = min(objectives, key=objectives.get)  # the first of equal minima
     h = mse_pilot_bandwidth(sample, column.eval_pt, kernel, p, H)
-    assert h == best_h or abs(objectives[h] - objectives[best_h]) <= 1e-8 * objectives[best_h]
+    assert h == min(ours, key=ours.get)
+    assert h == best_h or (objectives[h] - objectives[best_h]
+                           <= rounding[h] + rounding[best_h])
 
 
 class TestResolve:

@@ -266,7 +266,6 @@ class Estimate:
     raised.  ``surface`` and ``band`` cover the ``fitted`` points and are built
     on first read, so an estimate whose points all failed builds neither."""
 
-    grid: EvalGrid
     points: tuple
     alpha: float
     num_draws: int
@@ -298,7 +297,7 @@ def estimate(sample, grid: EvalGrid, rule, kernel: str = DEFAULT_KERNEL, p: int 
     Emits BoundaryLengthWarning, located at the caller, for each fitted point
     whose boundary arc inside the kernel support exceeds PERIMETER_MULTIPLE h."""
     hs = resolve_bandwidths(rule, sample, grid, kernel, p)
-    est = Estimate(grid, tuple(fit_grid(sample, grid, kernel, hs, p)), alpha, num_draws, seed)
+    est = Estimate(tuple(fit_grid(sample, grid, kernel, hs, p)), alpha, num_draws, seed)
     fits = est.fits
     if fits:  # arclengths_within rejects an empty array of centers
         arcs = grid.polyline.arclengths_within([fit.eval_pt for fit in fits],

@@ -33,8 +33,8 @@ print(f"undersmoothed variant (exponent 1/3):               "
 rules = {
     "fixed 6.0": Fixed(6.0),
     "rule of thumb": RuleOfThumb(c0=8.0),
-    "mse pilot": MsePilot(num_candidates=10),
-    "kink adaptive": KinkAdaptive(c0=8.0, num_candidates=10),
+    "mse pilot": MsePilot(),
+    "kink adaptive": KinkAdaptive(c0=8.0),
 }
 resolved = {
     name: resolve_bandwidths(rule, sample, grid, "triangular", p=1)

@@ -26,6 +26,8 @@ from .geometry import BoundaryPolyline, as_point, distance, point_distances
 from .kernels import kh_weight
 from .locpoly import MIN_GRAM_EIGENVALUE, GramMatrix
 
+NUM_CANDIDATES = 15  # log-spaced candidate bandwidths per point for the pilot rules
+
 
 def _point_cloud(points) -> np.ndarray:
     P = np.asarray(points, dtype=float)
@@ -84,7 +86,8 @@ def rot_bandwidth(sample, polyline: BoundaryPolyline, c0: float = 1.0,
     return rot_bandwidth_from_scale(rot_scale(sample, polyline), c0, len(sample), exponent)
 
 
-def candidate_bandwidths(magnitudes, diameter: float, num: int = 15) -> np.ndarray:
+def candidate_bandwidths(magnitudes, diameter: float,
+                         num: int = NUM_CANDIDATES) -> np.ndarray:
     """Log-spaced candidate grid between the 5th percentile of the nonzero
     |D| at a point and half the data diameter.
 
@@ -343,14 +346,13 @@ class RuleOfThumb:
 
 @dataclass(frozen=True)
 class MsePilot:
-    num_candidates: int = 15
+    """The pilot rule over NUM_CANDIDATES candidate bandwidths per point."""
 
 
 @dataclass(frozen=True)
 class KinkAdaptive:
     c0: float = 1.0
     exponent: float = 0.25
-    num_candidates: int = 15
 
 
 BandwidthRule = Fixed | RuleOfThumb | MsePilot | KinkAdaptive
@@ -362,57 +364,52 @@ def resolve_bandwidths(rule, sample, grid, kernel: str, p: int) -> list:
 
     Returns one entry per grid point: the bandwidth as a float, or the
     BddistError raised while selecting it at that point (the convention of
-    ``fit_grid``).  Failures that concern the whole rule still raise: an
-    unknown rule, a degenerate distance scale, or a resolved bandwidth
-    outside (0, data diameter], NaN included.
+    ``fit_grid``).  Failures that concern the whole rule still raise: fewer
+    than 2 observations (checked first), an unknown rule, a degenerate
+    distance scale, or a ``Fixed`` or ``RuleOfThumb`` bandwidth outside
+    (0, data diameter], NaN included.
 
-    The pilot rules split the rows by side once per call.  At each point
+    That one bandwidth is checked against the largest per-coordinate extent
+    of ``sample.x``, a lower bound on the diameter, and against the exact
+    diameter (a convex hull) only when it is not in (0, extent].  The pilot
+    rules need no check: each pick is a candidate that passed the
+    finite-and-positive screen of ``mse_pilot_objectives`` and lies in
+    [5th percentile of the nonzero |D| > 0, diameter / 2], and the kink
+    rule's min(h_mse, max(rot_h, d)) lies in [min(h_mse, rot_h), h_mse].
+
+    The pilot rules compute the diameter up front, where their candidate
+    grids end, and split the rows by side once per call.  At each point
     each side takes one distance pass over all of its rows (the candidate
     grid starts at a percentile of |D| over the whole sample) and one sort
     by |D|; the sorted sides serve both the candidate grid and every
     candidate's objective (``mse_pilot_objectives``).
-
-    The exact data diameter (a convex hull) is computed up front for the
-    pilot rules, whose candidate grids end at half of it.  For ``Fixed`` and
-    ``RuleOfThumb`` it is computed only when some bandwidth is not in
-    (0, largest per-coordinate extent of ``sample.x``]: that extent is a
-    lower bound on the diameter, so a bandwidth inside it passes the check.
     """
-    pilot = isinstance(rule, (MsePilot, KinkAdaptive))
-    # Both calls reject n < 2 before any rule runs.
-    if pilot:
-        diameter = data_diameter(sample.x)
-    else:
-        diameter, extent = None, coordinate_extent(sample.x)
-    if isinstance(rule, Fixed):
-        outcomes = [float(rule.h)] * grid.count
-    elif isinstance(rule, RuleOfThumb):
-        outcomes = [rot_bandwidth(sample, grid.polyline, rule.c0, rule.exponent)] * grid.count
-    elif pilot:
-        rot_h = (rot_bandwidth(sample, grid.polyline, rule.c0, rule.exponent)
-                 if isinstance(rule, KinkAdaptive) else None)
-        split = _split_sides(sample)
-        outcomes = []
-        for pt in grid.points:
-            try:
-                sides = _point_sides(split, pt)
-                hs = candidate_bandwidths([s.mags for s in sides], diameter,
-                                          rule.num_candidates)
-                h = mse_pilot_bandwidth(sample, pt, kernel, p, hs, sides)
-                if rot_h is not None:
-                    h = kink_adaptive_bandwidth(pt, grid.polyline, h, rot_h)
-            except BddistError as err:
-                h = err
-            outcomes.append(h)
-    else:
+    if isinstance(rule, (Fixed, RuleOfThumb)):
+        extent = coordinate_extent(sample.x)
+        h = (float(rule.h) if isinstance(rule, Fixed)
+             else rot_bandwidth(sample, grid.polyline, rule.c0, rule.exponent))
+        if not 0.0 < h <= extent:
+            diameter = data_diameter(sample.x)
+            if not 0.0 < h <= diameter:
+                raise InvalidBandwidthError(
+                    f"resolved bandwidths must lie in (0, data diameter = {diameter:.6g}]")
+        return [h] * grid.count
+    diameter = data_diameter(sample.x)
+    if not isinstance(rule, (MsePilot, KinkAdaptive)):
         raise InvalidInputError(f"unknown bandwidth rule: {rule!r}")
-    hs = np.array([h for h in outcomes if not isinstance(h, BddistError)])
-    if diameter is None:
-        if np.all((hs > 0.0) & (hs <= extent)):
-            return outcomes
-        diameter = data_diameter(sample.x)
-    if not np.all((hs > 0.0) & (hs <= diameter)):
-        raise InvalidBandwidthError(
-            f"resolved bandwidths must lie in (0, data diameter = {diameter:.6g}]"
-        )
+    rot_h = (rot_bandwidth(sample, grid.polyline, rule.c0, rule.exponent)
+             if isinstance(rule, KinkAdaptive) else None)
+    split = _split_sides(sample)
+    outcomes = []
+    for pt in grid.points:
+        try:
+            sides = _point_sides(split, pt)
+            h = mse_pilot_bandwidth(sample, pt, kernel, p,
+                                    candidate_bandwidths([s.mags for s in sides], diameter),
+                                    sides)
+            if rot_h is not None:
+                h = kink_adaptive_bandwidth(pt, grid.polyline, h, rot_h)
+        except BddistError as err:
+            h = err
+        outcomes.append(h)
     return outcomes

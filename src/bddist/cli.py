@@ -1,8 +1,9 @@
 """Command-line entry point: estimate, simulate, and bias-oracle subcommands.
 
-Configuration precedence is built-in defaults, then values from an optional
---config JSON file (keys mirror the flag names with underscores), then
-explicitly supplied flags.  Config keys are shared; flags are not.
+Each setting is one flag, whose ``add_argument`` call holds its default,
+type and choices.  An optional --config JSON file (keys mirror the flag
+names with underscores) goes through the same parser, ahead of the flags,
+so explicitly supplied flags win.  Config keys are shared; flags are not.
 """
 
 from __future__ import annotations
@@ -10,11 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import json
 import math
 import os
 import sys
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,28 +28,6 @@ from .inference import estimate, pointwise_ci
 from .kernels import FAMILIES
 from .oracle import fixed_h_bias
 from .simulation import DgpSpec, default_dgp, describe_failures, run_monte_carlo
-
-DEFAULTS = {
-    "boundary": None,
-    "data": None,
-    "grid_size": 21,
-    "p": 1,
-    "kernel": "triangular",
-    "alpha": 0.05,
-    "bw_rule": "rot",
-    "c0": 1.0,
-    "h": None,
-    "bw_exponent": 0.25,
-    "band_draws": 10000,
-    "seed": 0,
-    "out": None,
-    "precision": "human",
-    "dump_cov": None,
-    "n": 5000,
-    "reps": 100,
-    "dgp": None,
-    "s_grid": "0.01:1.0:40",
-}
 
 
 _COLUMNS = ("y", "x1", "x2")
@@ -130,21 +109,18 @@ def read_dataset(path):
 
 
 def _bandwidth_rule(cfg):
-    name = cfg.bw_rule
-    if name == "fixed":
+    if cfg.bw_rule == "fixed":
         if cfg.h is None:
             raise InvalidInputError("--bw-rule fixed requires --h")
-        return bw.Fixed(float(cfg.h))
-    if name == "rot":
-        return bw.RuleOfThumb(c0=float(cfg.c0), exponent=float(cfg.bw_exponent))
-    if name == "mse":
+        return bw.Fixed(cfg.h)
+    if cfg.bw_rule == "rot":
+        return bw.RuleOfThumb(c0=cfg.c0, exponent=cfg.bw_exponent)
+    if cfg.bw_rule == "mse":
         return bw.MsePilot()
-    if name == "kink":
-        return bw.KinkAdaptive(c0=float(cfg.c0), exponent=float(cfg.bw_exponent))
-    raise InvalidInputError(f"unknown bandwidth rule {name!r}")
+    return bw.KinkAdaptive(c0=cfg.c0, exponent=cfg.bw_exponent)
 
 
-def run_estimate(cfg: SimpleNamespace) -> int:
+def run_estimate(cfg: argparse.Namespace) -> int:
     """Per-point estimates, pointwise CIs, and the uniform band, as CSV.
 
     Points whose fit fails are emitted with their error's code; the exit
@@ -155,9 +131,9 @@ def run_estimate(cfg: SimpleNamespace) -> int:
     polyline, rule = load_boundary(cfg.boundary)
     y, x = read_dataset(cfg.data)
     sample = Sample.from_data(y, x, rule)
-    grid = make_grid(polyline, int(cfg.grid_size))
-    est = estimate(sample, grid, _bandwidth_rule(cfg), cfg.kernel, int(cfg.p),
-                   float(cfg.alpha), int(cfg.band_draws), int(cfg.seed))
+    grid = make_grid(polyline, cfg.grid_size)
+    est = estimate(sample, grid, cfg.bw_rule, cfg.kernel, cfg.p, cfg.alpha, cfg.band_draws,
+                   cfg.seed)
 
     prec = cfg.precision
     band_by_key = {}  # the band's intervals carry each fitted point's se
@@ -202,14 +178,13 @@ def _load_dgp(cfg) -> DgpSpec:
         raise InvalidInputError(f"{cfg.dgp}: invalid DGP override ({exc})") from None
 
 
-def run_simulate(cfg: SimpleNamespace) -> int:
+def run_simulate(cfg: argparse.Namespace) -> int:
     """Monte Carlo coverage study written as a report CSV."""
     spec = _load_dgp(cfg)
-    grid = make_grid(spec.boundary, int(cfg.grid_size))
+    grid = make_grid(spec.boundary, cfg.grid_size)
     report = run_monte_carlo(
-        spec, int(cfg.n), int(cfg.reps), grid=grid, p=int(cfg.p), kernel=cfg.kernel,
-        bw_rule=_bandwidth_rule(cfg), alpha=float(cfg.alpha),
-        band_draws=int(cfg.band_draws), seed=int(cfg.seed),
+        spec, cfg.n, cfg.reps, grid=grid, p=cfg.p, kernel=cfg.kernel, bw_rule=cfg.bw_rule,
+        alpha=cfg.alpha, band_draws=cfg.band_draws, seed=cfg.seed,
     )
     report.to_csv(cfg.out if cfg.out else sys.stdout, cfg.precision)
     if report.invalid:
@@ -225,22 +200,29 @@ def _parse_s_grid(text: str) -> np.ndarray:
         raise InvalidInputError("--s-grid expects start:stop:count or a comma list")
     try:
         if len(parts) == 1:
-            return np.asarray([float(v) for v in text.split(",")])
-        return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+            s_values = np.asarray([float(v) for v in text.split(",")])
+        else:
+            s_values = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise InvalidInputError(f"--s-grid {text!r}: {exc}") from None
+    if s_values.size == 0:
+        raise InvalidInputError(f"--s-grid {text!r}: no values")
+    if np.isnan(s_values).any():
+        raise InvalidInputError(f"--s-grid {text!r}: NaN value")
+    return s_values
 
 
-def run_bias_oracle(cfg: SimpleNamespace) -> int:
+def run_bias_oracle(cfg: argparse.Namespace) -> int:
     """Exact fixed-h bias values on a grid of kink distances, as CSV."""
-    h = float(cfg.h) if cfg.h is not None else 1.0
-    s_values = _parse_s_grid(cfg.s_grid)
+    s_values = _parse_s_grid(cfg.s_grid).tolist()
     rows = [[format_number(s, cfg.precision),
-             format_number(fixed_h_bias(cfg.kernel, int(cfg.p), h, float(s)),
-                           cfg.precision)]
+             format_number(fixed_h_bias(cfg.kernel, cfg.p, cfg.h, s), cfg.precision)]
             for s in s_values]
     write_csv(cfg.out if cfg.out else sys.stdout, ["s", "bias"], rows)
     return 0
+
+
+_RUNS = {"estimate": run_estimate, "simulate": run_simulate, "bias-oracle": run_bias_oracle}
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +231,24 @@ def run_bias_oracle(cfg: SimpleNamespace) -> int:
 
 def _add_common(sp):
     sp.add_argument("--config", help="JSON file mirroring the flags; flags win")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--kernel", choices=FAMILIES)
-    sp.add_argument("--h", type=float)
+    sp.add_argument("--p", type=int, default=1)
+    sp.add_argument("--kernel", choices=FAMILIES, default="triangular")
     sp.add_argument("--out")
-    sp.add_argument("--precision", choices=("human", "full"))
+    sp.add_argument("--precision", choices=("human", "full"), default="human")
 
 
 def _add_pipeline(sp):
     """The common flags and those of the estimation pipeline."""
     _add_common(sp)
+    sp.add_argument("--h", type=float)
     sp.add_argument("--boundary", help="boundary spec JSON file")
-    sp.add_argument("--grid-size", type=int, dest="grid_size")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--bw-rule", choices=("fixed", "rot", "mse", "kink"), dest="bw_rule")
-    sp.add_argument("--c0", type=float)
-    sp.add_argument("--bw-exponent", type=float, dest="bw_exponent")
-    sp.add_argument("--band-draws", type=int, dest="band_draws")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--grid-size", type=int, default=21)
+    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--bw-rule", choices=("fixed", "rot", "mse", "kink"), default="rot")
+    sp.add_argument("--c0", type=float, default=1.0)
+    sp.add_argument("--bw-exponent", type=float, default=0.25)
+    sp.add_argument("--band-draws", type=int, default=10000)
+    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,64 +262,79 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="effect curve with CIs and a uniform band")
     _add_pipeline(est)
     est.add_argument("--data", help="CSV with columns y, x1, x2")
-    est.add_argument("--dump-cov", dest="dump_cov", help="write the covariance matrix CSV")
+    est.add_argument("--dump-cov", help="write the covariance matrix CSV")
 
     sim = sub.add_parser("simulate", help="Monte Carlo coverage study")
     _add_pipeline(sim)
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--reps", type=int)
+    sim.add_argument("--n", type=int, default=5000)
+    sim.add_argument("--reps", type=int, default=100)
     sim.add_argument("--dgp", help="JSON overriding DGP fields")
 
     orc = sub.add_parser("bias-oracle", help="exact fixed-h bias on a grid")
     _add_common(orc)
-    orc.add_argument("--s-grid", dest="s_grid",
+    orc.add_argument("--h", type=float, default=1.0)
+    orc.add_argument("--s-grid", default="0.01:1.0:40",
                      help="start:stop:count or comma-separated values")
     return parser
 
 
-def build_config(args: argparse.Namespace) -> SimpleNamespace:
-    values = dict(DEFAULTS)
-    supplied = {k: v for k, v in vars(args).items()
-                if k not in ("command", "config") and v is not None}
-    if getattr(args, "config", None):
-        file_values = read_json(args.config)
-        unknown = set(file_values) - set(DEFAULTS)
+def build_config(argv=None) -> argparse.Namespace:
+    """The parsed and checked settings of one run.
+
+    A --config file's values go through the same parser as the flags: each
+    key the subcommand takes becomes a ``--key=value`` token placed ahead of
+    the command-line arguments.  So a flag wins (argparse keeps the last
+    occurrence), and a value that the flag's type or choices reject ends as
+    that flag would, with exit status 2.  The ``=`` form keeps a value such
+    as ``-1`` from being read as an option.  A null value is not given; a
+    key that only another subcommand takes is skipped, and any other key is
+    an error.
+
+    The range checks then run, before any file but the config is read; for
+    ``estimate`` and ``simulate``, ``bw_rule`` becomes the bandwidth rule.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    cfg = parser.parse_args(argv)
+    if cfg.config:
+        values = read_json(cfg.config)
+        keys = {key for name in _RUNS for key in vars(parser.parse_args([name]))}
+        unknown = set(values) - (keys - {"command", "config"})
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-        values.update(file_values)
-    values.update(supplied)
-    if int(values["p"]) < 0:
-        raise InvalidInputError(f"p must be >= 0, got {values['p']}")
-    if args.command != "bias-oracle":
-        if not 0.0 < float(values["alpha"]) < 1.0:
-            raise InvalidInputError(f"alpha must be in (0, 1), got {values['alpha']}")
-        if int(values["grid_size"]) < 1:
-            raise InvalidInputError("grid-size must be >= 1")
-        if int(values["seed"]) < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {values['seed']}")
-        if int(values["band_draws"]) < 1000:
-            raise InvalidInputError(f"band-draws must be >= 1000, got {values['band_draws']}")
-        if values["bw_rule"] in ("rot", "kink"):
-            if not 0.0 < float(values["c0"]) < math.inf:
-                raise InvalidInputError(f"c0 must be positive and finite, got {values['c0']}")
-            if not math.isfinite(float(values["bw_exponent"])):
-                raise InvalidInputError(f"bw-exponent must be finite, got {values['bw_exponent']}")
-    return SimpleNamespace(**values)
+        tokens = [f"--{key.replace('_', '-')}="
+                  + (value if isinstance(value, str) else json.dumps(value))
+                  for key, value in values.items() if key in vars(cfg) and value is not None]
+        at = argv.index(cfg.command) + 1
+        cfg = parser.parse_args(argv[:at] + tokens + argv[at:])
+    if cfg.p < 0:
+        raise InvalidInputError(f"p must be >= 0, got {cfg.p}")
+    if cfg.command == "bias-oracle":
+        if not 0.0 < cfg.h < math.inf:
+            raise InvalidInputError(f"h must be positive and finite, got {cfg.h}")
+        return cfg
+    if not 0.0 < cfg.alpha < 1.0:
+        raise InvalidInputError(f"alpha must be in (0, 1), got {cfg.alpha}")
+    if cfg.grid_size < 1:
+        raise InvalidInputError("grid-size must be >= 1")
+    if cfg.seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.band_draws < 1000:
+        raise InvalidInputError(f"band-draws must be >= 1000, got {cfg.band_draws}")
+    if cfg.bw_rule in ("rot", "kink"):
+        if not 0.0 < cfg.c0 < math.inf:
+            raise InvalidInputError(f"c0 must be positive and finite, got {cfg.c0}")
+        if not math.isfinite(cfg.bw_exponent):
+            raise InvalidInputError(f"bw-exponent must be finite, got {cfg.bw_exponent}")
+    cfg.bw_rule = _bandwidth_rule(cfg)
+    return cfg
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-        if args.command == "estimate":
-            return run_estimate(cfg)
-        if args.command == "simulate":
-            return run_simulate(cfg)
-        return run_bias_oracle(cfg)
-    except BddistError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+        cfg = build_config(argv)
+        return _RUNS[cfg.command](cfg)
+    except (BddistError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

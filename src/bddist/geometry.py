@@ -113,12 +113,12 @@ class BoundaryPolyline:
         Interior vertex indices marked as kinks (corners).
     cumulative_arclength : (m,) array
         Arc length from the first vertex to each vertex; starts at 0 and is
-        strictly increasing.
+        strictly increasing.  Computed from the vertices, not passed in.
     """
 
     vertices: np.ndarray
     kink_indices: frozenset = field(default_factory=frozenset)
-    cumulative_arclength: np.ndarray = None
+    cumulative_arclength: np.ndarray = field(init=False)
 
     def __post_init__(self):
         V = _as_points(self.vertices)

@@ -205,7 +205,6 @@ class McReport:
     se: np.ndarray             # (reps_used, M) standard errors
     h_used: np.ndarray         # (reps_used, M) bandwidths
     band_quantile: np.ndarray  # (reps_used,) shared band critical values
-    covered: np.ndarray        # (reps_used, M) pointwise coverage indicators
     band_covered: np.ndarray   # (reps_used, M) band coverage indicators
 
     def to_csv(self, path, precision: str = "human"):
@@ -324,6 +323,5 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
         se=se,
         h_used=h_used,
         band_quantile=band_q,
-        covered=covered,
         band_covered=band_covered,
     )

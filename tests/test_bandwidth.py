@@ -380,9 +380,9 @@ class TestResolve:
         rng = np.random.default_rng(10)
         sample = square_sample(rng, n=1500)
         grid = make_grid(self.PL, 5)
-        hs_mse = resolve_bandwidths(MsePilot(num_candidates=6), sample, grid,
+        hs_mse = resolve_bandwidths(MsePilot(), sample, grid,
                                     "uniform", 1)
-        hs_kink = resolve_bandwidths(KinkAdaptive(num_candidates=6), sample, grid,
+        hs_kink = resolve_bandwidths(KinkAdaptive(), sample, grid,
                                      "uniform", 1)
         assert np.all(np.asarray(hs_kink) <= np.asarray(hs_mse) + 1e-12)
 
@@ -392,12 +392,12 @@ class TestResolve:
         rng = np.random.default_rng(12)
         sample = square_sample(rng, n=1500)
         grid = make_grid(self.PL, 4)
-        hs = resolve_bandwidths(MsePilot(num_candidates=7), sample, grid,
+        hs = resolve_bandwidths(MsePilot(), sample, grid,
                                 "epanechnikov", 1)
         diameter = data_diameter(sample.x)
         for pt, h in zip(grid.points, hs):
             mags = np.sort(np.abs(build_distance_column(sample, pt).values))
-            H = candidate_bandwidths([mags], diameter, 7)
+            H = candidate_bandwidths([mags], diameter)
             assert h == mse_pilot_bandwidth(sample, pt, "epanechnikov", 1, H)
 
     def test_pilot_failure_stays_at_its_point(self):
@@ -413,6 +413,26 @@ class TestResolve:
             hs = resolve_bandwidths(rule, sample, grid, "triangular", 1)
             assert [type(h) for h in hs] == [float, float, BandwidthSelectionError]
             assert str(hs[2]).endswith("produced a valid fit at (1.0, 0.0)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 400),
+       kind=st.sampled_from(["two-sided", "one-sided", "shrunk"]),
+       rule=st.sampled_from([MsePilot(), KinkAdaptive(c0=0.5), KinkAdaptive(c0=8.0)]),
+       kernel=st.sampled_from(FAMILIES), p=st.integers(0, 2))
+def test_pilot_picks_lie_in_half_the_diameter(seed, n, kind, rule, kernel, p):
+    # Why the pilot rules need no range check in resolve_bandwidths.
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (n, 2))
+    if kind == "one-sided":
+        x = np.where(RULE.contains(x)[:, None], x, x - 0.8)
+    elif kind == "shrunk":  # the diameter binds the candidate grids
+        x = 0.3 * x
+    sample = Sample.from_data(rng.normal(size=n), x, RULE)
+    grid = make_grid(TestResolve.PL, 4)
+    half = data_diameter(sample.x) / 2
+    for h in resolve_bandwidths(rule, sample, grid, kernel, p):
+        assert isinstance(h, BddistError) or 0.0 < h <= half
 
 
 class TestDataDiameter:

@@ -444,6 +444,20 @@ class TestBiasOracle:
             "--help", "--config", "--p", "--kernel", "--h", "--out", "--precision",
             "--s-grid"}
 
+    @pytest.mark.parametrize("setting,message", [
+        (["--s-grid", "0:1:0"], "--s-grid '0:1:0': no values"),
+        (["--s-grid", "nan"], "--s-grid 'nan': NaN value"),
+        (["--s-grid", "0.1,nan"], "--s-grid '0.1,nan': NaN value"),
+        (["--h", "nan", "--s-grid", "0.1"], "h must be positive and finite, got nan"),
+        (["--h", "inf", "--s-grid", "0.1"], "h must be positive and finite, got inf"),
+        (["--h", "0", "--s-grid", "0.1"], "h must be positive and finite, got 0.0"),
+    ], ids=["s-grid-empty", "s-grid-nan", "s-grid-list-nan", "h-nan", "h-inf", "h-zero"])
+    def test_meaningless_setting_is_one_error_line(self, tmp_path, capsys, setting, message):
+        out = tmp_path / "bias.csv"
+        assert main(["bias-oracle", *setting, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_pipeline_config_keys_are_not_checked(self, tmp_path):
         # Config keys are shared; bias-oracle checks only those it reads.
         cfg = tmp_path / "cfg.json"
@@ -456,10 +470,11 @@ class TestBiasOracle:
 
 
 class TestBadInputs:
-    def test_unknown_config_key(self, tmp_path, boundary_file):
+    def test_unknown_config_key(self, tmp_path, boundary_file, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
+        cfg.write_text(json.dumps({"bogus": 1, "config": "x", "p": 0}))
         assert main(["estimate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['bogus', 'config']\n"
 
     def test_missing_required_inputs(self):
         assert main(["estimate"]) == 1
@@ -571,6 +586,109 @@ class TestBadInputs:
         assert main(["estimate", "--data", str(path), "--boundary", boundary_file,
                      "--out", str(tmp_path / "out.csv")]) == 1
         assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (byte 0xff)\n"
+
+
+class TestConfigFile:
+    """--config values go through the flags' own parser, ahead of the flags."""
+
+    @staticmethod
+    def config(tmp_path, values):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values))
+        return str(path)
+
+    @staticmethod
+    def settings(argv):
+        return {k: v for k, v in vars(cli.build_config(argv)).items() if k != "config"}
+
+    # A missing --data file: whatever fails first says whether the setting
+    # is checked before the data is read.
+    @pytest.mark.parametrize("command,values,message", [
+        ("estimate", {"p": "abc"}, "argument --p: invalid int value: 'abc'"),
+        ("estimate", {"p": 1.7}, "argument --p: invalid int value: '1.7'"),
+        ("estimate", {"p": 1.0}, "argument --p: invalid int value: '1.0'"),
+        ("estimate", {"grid_size": True}, "argument --grid-size: invalid int value: 'true'"),
+        ("estimate", {"kernel": "gaussian"}, "argument --kernel: invalid choice: 'gaussian'"),
+        ("simulate", {"kernel": "gaussian", "reps": 2},
+         "argument --kernel: invalid choice: 'gaussian'"),
+        ("estimate", {"precision": "x"}, "argument --precision: invalid choice: 'x'"),
+        ("estimate", {"bw_rule": "foo"}, "argument --bw-rule: invalid choice: 'foo'"),
+        ("bias-oracle", {"p": 1.5}, "argument --p: invalid int value: '1.5'"),
+    ], ids=["p-text", "p-fraction", "p-float", "grid-size-bool", "kernel", "simulate-kernel",
+            "precision", "bw-rule", "bias-oracle-p"])
+    def test_rejected_value_ends_as_the_flag_would(self, tmp_path, boundary_file, capsys,
+                                                   command, values, message):
+        if command == "estimate":
+            values = {**values, "data": str(tmp_path / "missing.csv"),
+                      "boundary": boundary_file}
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", self.config(tmp_path, values), "--out", str(out)])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: bddist {command} ")
+        assert f"bddist {command}: error: {message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", [{"bw_rule": "fixed"}, {}], ids=["config", "flag"])
+    def test_fixed_rule_without_h_fails_before_the_data_is_read(self, tmp_path,
+                                                                boundary_file, capsys, values):
+        argv = ["estimate", "--config", self.config(tmp_path, values), "--data",
+                str(tmp_path / "missing.csv"), "--boundary", boundary_file]
+        if not values:
+            argv += ["--bw-rule", "fixed"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --bw-rule fixed requires --h\n"
+
+    def test_number_for_a_path_is_a_file_name(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["estimate", "--config", self.config(tmp_path, {"boundary": 0}),
+                     "--data", "missing.csv"]) == 1
+        assert capsys.readouterr().err == \
+            "error: [Errno 2] No such file or directory: '0'\n"
+
+    def test_range_message_shows_the_typed_value(self, tmp_path, capsys):
+        assert main(["simulate", "--config", self.config(tmp_path, {"alpha": 2})]) == 1
+        assert capsys.readouterr().err == "error: alpha must be in (0, 1), got 2.0\n"
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("estimate", "p", 2), ("estimate", "kernel", "uniform"), ("estimate", "h", 0.3),
+        ("estimate", "out", "o.csv"), ("estimate", "precision", "full"),
+        ("estimate", "boundary", "b.json"), ("estimate", "grid_size", 5),
+        ("estimate", "alpha", 0.1), ("estimate", "bw_rule", "mse"), ("estimate", "c0", 3),
+        ("estimate", "bw_exponent", -0.5), ("estimate", "band_draws", 2000),
+        ("estimate", "seed", 4), ("estimate", "data", "d.csv"),
+        ("estimate", "dump_cov", "c.csv"), ("simulate", "n", 100), ("simulate", "reps", 3),
+        ("simulate", "dgp", "g.json"), ("bias-oracle", "h", 0.5),
+        ("bias-oracle", "s_grid", "0.1,0.2"),
+    ])
+    def test_config_value_equals_the_flag(self, tmp_path, command, key, value):
+        from_file = self.settings([command, "--config", self.config(tmp_path, {key: value})])
+        from_flag = self.settings([command, "--" + key.replace("_", "-"), str(value)])
+        assert from_file == from_flag
+        assert from_file != self.settings([command])
+
+    def test_flag_wins_wherever_it_stands(self, tmp_path):
+        cfg = self.config(tmp_path, {"p": 0, "kernel": "uniform"})
+        assert self.settings(["estimate", "--config", cfg, "--p", "2"]) == \
+            self.settings(["estimate", "--p", "2", "--config", cfg]) == \
+            self.settings(["estimate", "--p", "2", "--kernel", "uniform"])
+
+    def test_value_that_looks_like_an_option(self, tmp_path):
+        cfg = self.config(tmp_path, {"out": "-x.csv", "seed": 2, "bw_exponent": -1})
+        settings = self.settings(["estimate", "--config", cfg])
+        assert (settings["out"], settings["seed"], settings["bw_exponent"]) == ("-x.csv", 2, -1.0)
+
+    def test_key_of_another_subcommand_is_skipped(self, tmp_path):
+        cfg = self.config(tmp_path, {"n": 10, "s_grid": "x", "dump_cov": "c.csv", "p": 0})
+        assert self.settings(["simulate", "--config", cfg]) == \
+            self.settings(["simulate", "--p", "0", "--n", "10"])
+        assert self.settings(["estimate", "--config", cfg]) == \
+            self.settings(["estimate", "--p", "0", "--dump-cov", "c.csv"])
+
+    def test_null_is_not_given(self, tmp_path):
+        cfg = self.config(tmp_path, {"h": None, "p": None})
+        assert self.settings(["bias-oracle", "--config", cfg]) == self.settings(["bias-oracle"])
 
 
 NO_SCIPY_PROBE = """

@@ -111,6 +111,11 @@ class TestPolyline:
         assert np.all(np.diff(pl.cumulative_arclength) > 0)
         assert pl.total_length == 4.0
 
+    def test_arclength_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            BoundaryPolyline(np.array([[0.0, 0.0], [1.0, 0.0]]), frozenset(),
+                             np.array([0.0, 5.0]))
+
     def test_point_at_endpoints(self):
         pl = l_shape()
         assert_allclose(pl.point_at(0.0), [0, 2])

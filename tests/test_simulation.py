@@ -179,7 +179,7 @@ class TestMonteCarlo:
         spec = default_dgp()
         grid = make_grid(spec.boundary, 3)
         report = run_monte_carlo(spec, n=900, reps=3, grid=grid,
-                                 bw_rule=MsePilot(num_candidates=6),
+                                 bw_rule=MsePilot(),
                                  band_draws=1000, seed=32)
         assert report.n_failed == 0
         # Per-point bandwidths may differ across the grid.

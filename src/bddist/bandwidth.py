@@ -17,14 +17,12 @@ import numpy as np
 from .errors import (
     BandwidthSelectionError,
     BddistError,
-    InsufficientDataError,
     InvalidBandwidthError,
     InvalidInputError,
-    SingularGramError,
 )
 from .geometry import BoundaryPolyline, as_point, distance, point_distances
-from .kernels import kh_weight
-from .locpoly import MIN_GRAM_EIGENVALUE, GramMatrix
+from .kernels import bandwidth_error, kh_weight
+from .locpoly import GramMatrix, side_failure
 
 NUM_CANDIDATES = 15  # log-spaced candidate bandwidths per point for the pilot rules
 
@@ -187,22 +185,6 @@ def _side_pilot(side: _Side, kernel: str, hs: np.ndarray, p: int, n: int) -> _Si
     return _SidePilot(ends, weights, counts, sums, rows[:2 * p + 3])
 
 
-def _pilot_failure(counts, min_eigenvalues, p: int):
-    """The error ``fit_point`` raises first at one candidate, or None.
-
-    ``counts`` holds the positive weights per side and ``min_eigenvalues``
-    the smallest Gram eigenvalue per side for order p, then order p + 1:
-    the checks of ``fit_point`` in the order the two fits make them.
-    """
-    for q, min_eig in zip((p, p + 1), min_eigenvalues):
-        for side in (0, 1):
-            if counts[side] < q + 1:
-                return InsufficientDataError(side, int(counts[side]), q + 1)
-            if min_eig[side] < MIN_GRAM_EIGENVALUE:
-                return SingularGramError(side, float(min_eig[side]))
-    return None
-
-
 def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
                          sides=None) -> list:
     """Estimated MSE at each candidate bandwidth at one point, in one pass
@@ -223,18 +205,14 @@ def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
     not over moments of y^2, so an affine change of y keeps its digits.
 
     Returns one entry per candidate: the objective as a float, or the
-    BddistError that the order-p or order-(p+1) fit would raise there: a
-    bandwidth that is not positive, or on a side too few positively
-    weighted rows or a Gram eigenvalue below MIN_GRAM_EIGENVALUE, checked
-    in the order ``fit_point`` checks them.
+    BddistError that the order-p or order-(p+1) fit would raise there.  The
+    fits' own checks name it: ``bandwidth_error``, then ``side_failure`` at
+    order p, then at order p + 1.
     """
     candidates = np.asarray(candidates, dtype=float)
-    out = [None] * candidates.size
-    valid = np.isfinite(candidates) & (candidates > 0.0)
-    for k in np.flatnonzero(~valid):
-        out[k] = InvalidBandwidthError(f"bandwidth must be positive, got {candidates[k]}")
-    valid = np.flatnonzero(valid)
-    if valid.size == 0:
+    out = [bandwidth_error(h) for h in candidates]
+    valid = [k for k, err in enumerate(out) if err is None]
+    if not valid:
         return out
     if sides is None:
         sides = _point_sides(_split_sides(sample), eval_pt)
@@ -248,7 +226,8 @@ def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
     lam_p, vec_p = np.linalg.eigh(grams[..., :p + 1, :p + 1])
     lam_p1, vec_p1 = np.linalg.eigh(grams)
     for k in range(hs.size):
-        out[valid[k]] = _pilot_failure(counts[k], (lam_p[k, :, 0], lam_p1[k, :, 0]), p)
+        out[valid[k]] = (side_failure(counts[k], lam_p[k, :, 0], p)
+                         or side_failure(counts[k], lam_p1[k, :, 0], p + 1))
     ok = [k for k in range(hs.size) if out[valid[k]] is None]
     if not ok:
         return out

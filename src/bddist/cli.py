@@ -167,6 +167,8 @@ def run_estimate(cfg: argparse.Namespace) -> int:
 
 def _load_dgp(cfg) -> DgpSpec:
     overrides = read_json(cfg.dgp) if cfg.dgp else {}
+    if {"boundary", "assignment"} & set(overrides):
+        raise InvalidInputError(f"{cfg.dgp}: 'boundary' and 'assignment' come from --boundary")
     if cfg.boundary is not None:
         overrides["boundary"], overrides["assignment"] = load_boundary(cfg.boundary)
     unknown = set(overrides) - {f.name for f in dataclasses.fields(DgpSpec)}
@@ -321,6 +323,10 @@ def build_config(argv=None) -> argparse.Namespace:
         raise InvalidInputError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.band_draws < 1000:
         raise InvalidInputError(f"band-draws must be >= 1000, got {cfg.band_draws}")
+    if cfg.command == "simulate" and cfg.n < 2:
+        raise InvalidInputError(f"n must be >= 2 for any bandwidth rule, got {cfg.n}")
+    if cfg.command == "simulate" and cfg.reps < 1:
+        raise InvalidInputError(f"reps must be >= 1, got {cfg.reps}")
     if cfg.bw_rule in ("rot", "kink"):
         if not 0.0 < cfg.c0 < math.inf:
             raise InvalidInputError(f"c0 must be positive and finite, got {cfg.c0}")

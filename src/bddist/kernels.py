@@ -9,6 +9,8 @@ uses the bivariate normalization K(u/h) / h^2.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidBandwidthError, InvalidInputError
@@ -41,8 +43,17 @@ def kernel_eval(family: str, u) -> np.ndarray | float:
     return float(out) if scalar else out
 
 
+def bandwidth_error(h) -> InvalidBandwidthError | None:
+    """The error a fit at bandwidth h raises unless h is positive and
+    finite, else None: the bandwidth screen of every fit and pilot candidate."""
+    if math.isfinite(h) and h > 0.0:
+        return None
+    return InvalidBandwidthError(f"bandwidth must be positive, got {h}")
+
+
 def kh_weight(family: str, u, h: float) -> np.ndarray | float:
     """Bandwidth-scaled kernel weight K(u/h) / h^2 (bivariate normalization)."""
-    if not np.isfinite(h) or h <= 0.0:
-        raise InvalidBandwidthError(f"bandwidth must be positive, got {h}")
+    err = bandwidth_error(h)
+    if err is not None:
+        raise err
     return kernel_eval(family, np.asarray(u, dtype=float) / h) / (h * h)

@@ -26,12 +26,11 @@ import numpy as np
 from .errors import (
     BddistError,
     InsufficientDataError,
-    InvalidBandwidthError,
     InvalidInputError,
     SingularGramError,
 )
 from .geometry import ROW_BLOCK, as_point, row_blocks, signed_distances
-from .kernels import kernel_eval
+from .kernels import bandwidth_error, kernel_eval
 
 MIN_GRAM_EIGENVALUE = 1e-10
 
@@ -132,6 +131,18 @@ class PointFit:
         return self.fit1 if t == 1 else self.fit0
 
 
+def side_failure(counts, min_eigenvalues, q: int) -> BddistError | None:
+    """The error an order-q fit raises first, or None, given each side's
+    count of positively weighted rows and smallest Gram eigenvalue.  Side 0
+    is checked before side 1, and on a side the count before the Gram."""
+    for side in (0, 1):
+        if counts[side] < q + 1:
+            return InsufficientDataError(side, int(counts[side]), q + 1)
+        if min_eigenvalues[side] < MIN_GRAM_EIGENVALUE:
+            return SingularGramError(side, float(min_eigenvalues[side]))
+    return None
+
+
 def _support_rows(x, points, radii):
     """Rows of ``x`` within each radius of its point: one scan per point.
 
@@ -190,18 +201,10 @@ def _fit_points(sample, points, kernel: str, hs, p: int) -> list:
 
     An entry is a PointFit, the error its fit raised, or the BddistError
     given in ``hs`` for that point.  The checks run in the order a fit of
-    the point alone makes them: the bandwidth, then side 0's count and Gram,
-    then side 1's.
+    the point alone makes them: ``bandwidth_error``, then ``side_failure``.
     """
-    out = [None] * len(points)
-    todo = []
-    for k, h in enumerate(hs):
-        if isinstance(h, BddistError):
-            out[k] = h
-        elif not np.isfinite(h) or h <= 0.0:
-            out[k] = InvalidBandwidthError(f"bandwidth must be positive, got {h}")
-        else:
-            todo.append(k)
+    out = [h if isinstance(h, BddistError) else bandwidth_error(h) for h in hs]
+    todo = [k for k, err in enumerate(out) if err is None]
     if not todo:
         return out
     n, m = len(sample), len(todo)
@@ -227,28 +230,23 @@ def _fit_points(sample, points, kernel: str, hs, p: int) -> list:
     for arr in (rows, d, w):
         arr.setflags(write=False)
     for j, k in enumerate(todo):
+        out[k] = side_failure(counts[j::m], eigenvalues[j::m, 0], p)
+        if out[k] is not None:
+            continue
+        sides = []
         for t, s in enumerate((j, m + j)):
-            if counts[s] < p + 1:
-                out[k] = InsufficientDataError(t, int(counts[s]), p + 1)
-                break
-            if eigenvalues[s, 0] < MIN_GRAM_EIGENVALUE:
-                out[k] = SingularGramError(t, float(eigenvalues[s, 0]))
-                break
-        else:
-            sides = []
-            for t, s in enumerate((j, m + j)):
-                seg = segs[s]
-                g = GramMatrix(grams[s], eigenvalues[s], eigenvectors[s])
-                gamma = g.solve((B[seg] * w[seg, None]).T @ y[seg] / n)
-                r, phi = residuals[seg], influence[seg]
-                np.subtract(y[seg], B[seg] @ gamma, out=r)
-                np.multiply(B[seg] @ g.inv_e1(), w[seg], out=phi)
-                phi *= r
-                r.setflags(write=False)
-                phi.setflags(write=False)
-                sides.append(SideFit(t, gamma, int(counts[s]), g,
-                                     rows[seg], d[seg], w[seg], r, phi))
-            out[k] = PointFit(points[k], float(hs[k]), int(p), kernel, n, *sides)
+            seg = segs[s]
+            g = GramMatrix(grams[s], eigenvalues[s], eigenvectors[s])
+            gamma = g.solve((B[seg] * w[seg, None]).T @ y[seg] / n)
+            r, phi = residuals[seg], influence[seg]
+            np.subtract(y[seg], B[seg] @ gamma, out=r)
+            np.multiply(B[seg] @ g.inv_e1(), w[seg], out=phi)
+            phi *= r
+            r.setflags(write=False)
+            phi.setflags(write=False)
+            sides.append(SideFit(t, gamma, int(counts[s]), g,
+                                 rows[seg], d[seg], w[seg], r, phi))
+        out[k] = PointFit(points[k], float(hs[k]), int(p), kernel, n, *sides)
     return out
 
 

@@ -56,14 +56,19 @@ class DgpSpec:
         b1 = tuple(float(v) for v in self.beta1)
         if len(b0) != 3 or len(b1) != 3:
             raise InvalidInputError("beta0 and beta1 must each hold 3 coefficients")
+        for name in ("sigma0", "sigma1", "score_scale", "score_shift"):
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.sigma0 < 0.0 or self.sigma1 < 0.0:
             raise InvalidInputError("noise scales must be nonnegative")
-        a, b = self.beta_params
-        if a <= 0.0 or b <= 0.0:
-            raise InvalidInputError("Beta parameters must be positive")
+        a, b = (float(v) for v in self.beta_params)
+        if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+            raise InvalidInputError("Beta parameters must be positive and finite")
         object.__setattr__(self, "beta0", b0)
         object.__setattr__(self, "beta1", b1)
-        object.__setattr__(self, "beta_params", tuple(self.beta_params))
+        object.__setattr__(self, "beta_params", (a, b))
 
     def mean_outcome(self, x, treated) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -102,8 +107,8 @@ def gamma_variates(rng: np.random.Generator, shape: float, size: int) -> np.ndar
     log u < x^2 / 2 + d (1 - v + log v), and return d v.  Shapes below one
     use the boost Gamma(shape) = Gamma(shape + 1) * U^{1/shape}.
     """
-    if shape <= 0.0:
-        raise InvalidInputError(f"gamma shape must be positive, got {shape}")
+    if not 0.0 < shape < np.inf:
+        raise InvalidInputError(f"gamma shape must be positive and finite, got {shape}")
     a = shape if shape >= 1.0 else shape + 1.0
     d = a - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
@@ -198,8 +203,6 @@ class McReport:
     failures: dict
     invalid: bool
     n: int
-    alpha: float
-    seed: int
     tau: np.ndarray
     theta: np.ndarray          # (reps_used, M) point estimates
     se: np.ndarray             # (reps_used, M) standard errors
@@ -316,8 +319,6 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
         failures=failures,
         invalid=(n_failed / reps) > 0.05,
         n=n,
-        alpha=alpha,
-        seed=seed,
         tau=tau,
         theta=theta,
         se=se,

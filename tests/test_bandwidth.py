@@ -26,12 +26,14 @@ from bddist.data import Sample
 from bddist.errors import (
     BandwidthSelectionError,
     BddistError,
+    InsufficientDataError,
     InvalidBandwidthError,
     InvalidInputError,
     SingularGramError,
 )
 from bddist.geometry import BoundaryPolyline, QuadrantRule, make_grid
 from bddist.kernels import FAMILIES
+from bddist.locpoly import fit_point
 from fit_oracle import build_distance_column
 from pilot_oracle import mse_pilot_objective, objective_of_fits, pilot_fits
 
@@ -355,6 +357,32 @@ def test_pilot_objectives_match_the_fit_oracle(case, kernel, p):
     same_rows = kernel == "uniform" and np.array_equal(mags / h <= 1.0, mags / best_h <= 1.0)
     assert (h == best_h or same_rows
             or abs(objectives[h] - objectives[best_h]) <= 1e-8 * objectives[best_h])
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_pilot_names_the_first_failure_of_the_two_fits(p):
+    """Each candidate's entry is the error of the order-p fit at it, or, when
+    that fit passes, of the order-(p+1) fit: at H[k], side 0 holds k rows."""
+    rng = np.random.default_rng(5)
+    control = np.column_stack([-0.1 * np.arange(1, p + 3), np.zeros(p + 2)])
+    x = np.vstack([control, rng.uniform(0.0, 1.0, (200, 2))])
+    sample = Sample.from_data(rng.normal(size=len(x)), x, RULE)
+    H = 0.1 * np.arange(p + 3) + 0.05
+    got = mse_pilot_objectives(sample, (0.0, 0.0), "triangular", p, H)
+    for h, entry in zip(H, got):
+        want = None
+        for q in (p, p + 1):
+            try:
+                fit_point(sample, (0.0, 0.0), "triangular", h, q)
+            except BddistError as err:
+                want = err
+                break
+        assert type(entry) is (float if want is None else type(want))
+        assert want is None or str(entry) == str(want)
+    # p + 1 rows fit at order p but not at order p + 1.
+    assert str(got[p + 1]) == str(InsufficientDataError(0, p + 1, p + 2))
+    assert str(got[p]) == str(InsufficientDataError(0, p, p + 1))
+    assert isinstance(got[p + 2], float)
 
 
 class TestResolve:

@@ -527,6 +527,39 @@ class TestBadInputs:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("setting,message", [
+        (["--n", "1"], "n must be >= 2 for any bandwidth rule, got 1"),
+        (["--n", "0"], "n must be >= 2 for any bandwidth rule, got 0"),
+        (["--reps", "0"], "reps must be >= 1, got 0"),
+        (["--reps", "-2"], "reps must be >= 1, got -2"),
+        (["--dgp", '{"boundary": 5}'],
+         "{dgp}: 'boundary' and 'assignment' come from --boundary"),
+        (["--dgp", '{"assignment": "x"}'],
+         "{dgp}: 'boundary' and 'assignment' come from --boundary"),
+        (["--dgp", '{"score_scale": "abc"}'],
+         "{dgp}: invalid DGP override (could not convert string to float: 'abc')"),
+        (["--dgp", '{"sigma1": "inf"}'],
+         "{dgp}: invalid DGP override (sigma1 must be finite, got inf)"),
+        (["--dgp", '{"beta_params": [3, NaN]}'],
+         "{dgp}: invalid DGP override (Beta parameters must be positive and finite)"),
+    ], ids=["n=1", "n=0", "reps=0", "reps=-2", "dgp-boundary", "dgp-assignment",
+            "dgp-score-scale", "dgp-sigma-inf", "dgp-beta-nan"])
+    def test_simulate_setting_fails_before_any_replication(self, tmp_path, capsys,
+                                                           monkeypatch, setting, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_monte_carlo was called")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+        dgp = tmp_path / "dgp.json"
+        if setting[0] == "--dgp":
+            dgp.write_text(setting[1])
+            setting = ["--dgp", str(dgp)]
+        argv = ["simulate", "--n", "300", "--reps", "2", "--c0", "8", "--grid-size", "3",
+                *setting, "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: " + message.format(dgp=dgp) + "\n"
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("rule", [["fixed", "--h", "0.5"], ["mse"]])
     def test_c0_and_exponent_are_ignored_by_rules_without_them(self, tmp_path,
                                                                  boundary_file, rule):

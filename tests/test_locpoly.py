@@ -17,12 +17,14 @@ from bddist.errors import (
 from bddist.geometry import ROW_BLOCK, BoundaryPolyline, QuadrantRule, make_grid, signed_distances
 from bddist.kernels import FAMILIES
 from bddist.locpoly import (
+    MIN_GRAM_EIGENVALUE,
     GramMatrix,
     PointFit,
     _support_rows,
     fit_grid,
     fit_point,
     scaled_basis,
+    side_failure,
 )
 from fit_oracle import fit_point as oracle_fit_point
 from fit_oracle import DistanceColumn, build_distance_column, fit_side, gram_from_design
@@ -282,6 +284,29 @@ class TestJointScaling:
                             rtol=1e-12, atol=1e-12)
             assert scaled.side(side).n_eff == base.side(side).n_eff
         assert abs(scaled.theta_hat - base.theta_hat) < 1e-12
+
+
+class TestSideFailure:
+    """The checks of one order-q fit: per side, count before Gram; side 0 first."""
+
+    @pytest.mark.parametrize("counts,eigs,q,want", [
+        ((3, 3), (1.0, 1.0), 2, None),
+        ((3, 3), (MIN_GRAM_EIGENVALUE, 1.0), 2, None),
+        ((2, 3), (0.0, 1.0), 2, InsufficientDataError(0, 2, 3)),
+        ((3, 3), (1e-11, 0.0), 2, SingularGramError(0, 1e-11)),
+        ((3, 2), (1.0, 0.0), 2, InsufficientDataError(1, 2, 3)),
+        ((3, 3), (1.0, 1e-11), 2, SingularGramError(1, 1e-11)),
+        ((0, 0), (0.0, 0.0), 0, InsufficientDataError(0, 0, 1)),
+        ((1, 0), (0.0, 0.0), 0, SingularGramError(0, 0.0)),
+        ((1, 0), (1.0, 0.0), 0, InsufficientDataError(1, 0, 1)),
+    ], ids=["pass", "eigenvalue-at-the-floor", "count-before-gram", "gram-0-before-side-1",
+            "count-1", "gram-1", "side-0-before-side-1", "gram-0-before-count-1",
+            "count-1-order-0"])
+    def test_first_failure(self, counts, eigs, q, want):
+        got = side_failure(np.array(counts), np.array(eigs), q)
+        assert type(got) is type(want) and str(got) == str(want)
+        if want is not None:
+            assert got.side == want.side
 
 
 class TestFitGrid:

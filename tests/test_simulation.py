@@ -46,6 +46,10 @@ class TestVariates:
     def test_invalid_shape(self):
         with pytest.raises(InvalidInputError):
             gamma_variates(rng(0), 0.0, 10)
+        # A NaN shape would reject every proposal and never return.
+        for shape in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="positive and finite"):
+                gamma_variates(rng(0), shape, 10)
 
 
 class TestDgpSpec:
@@ -65,6 +69,24 @@ class TestDgpSpec:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidInputError):
             DgpSpec(beta0=(0, 0, 0), beta1=(0, 0, 0), sigma0=-1.0, sigma1=1.0)
+
+    def test_scalars_become_finite_floats(self):
+        spec = DgpSpec(beta0=(0, 0, 0), beta1=(0, 0, 0), sigma0=1, sigma1="0.5",
+                       score_scale=100, score_shift=-25)
+        assert [type(v) for v in (spec.sigma0, spec.sigma1, spec.score_scale,
+                                  spec.score_shift)] == [float] * 4
+        assert spec.sigma1 == 0.5
+        for field in ("sigma0", "sigma1", "score_scale", "score_shift"):
+            with pytest.raises(InvalidInputError, match=f"{field} must be finite, got nan"):
+                DgpSpec(**{"beta0": (0, 0, 0), "beta1": (0, 0, 0), "sigma0": 1.0,
+                           "sigma1": 1.0, field: float("nan")})
+        with pytest.raises(ValueError):
+            DgpSpec(beta0=(0, 0, 0), beta1=(0, 0, 0), sigma0=1.0, sigma1=1.0,
+                    score_scale="abc")
+        for params in ((3.0, np.nan), (np.inf, 4.0), (0.0, 4.0)):
+            with pytest.raises(InvalidInputError, match="Beta parameters"):
+                DgpSpec(beta0=(0, 0, 0), beta1=(0, 0, 0), sigma0=1.0, sigma1=1.0,
+                        beta_params=params)
 
 
 class TestDrawSample:

@@ -29,6 +29,8 @@ NUM_CANDIDATES = 15  # log-spaced candidate bandwidths per point for the pilot r
 
 def _point_cloud(points) -> np.ndarray:
     P = np.asarray(points, dtype=float)
+    if P.ndim != 2 or P.shape[1] != 2:
+        raise InvalidInputError(f"expected an (n, 2) point cloud, got shape {P.shape}")
     if len(P) < 2:
         raise InvalidInputError("need at least 2 points for a diameter")
     return P
@@ -41,19 +43,61 @@ def coordinate_extent(points) -> float:
     return max(float(P[:, j].max() - P[:, j].min()) for j in range(P.shape[1]))
 
 
-def data_diameter(points) -> float:
-    """Largest pairwise distance in a point cloud (via the convex hull)."""
-    P = _point_cloud(points)
-    try:
-        from scipy.spatial import ConvexHull, QhullError
+def _half_hull(points) -> list:
+    """Andrew's monotone chain over lexicographically sorted points: the
+    hull vertices from the first point up to, not including, the last.  A
+    point that makes no strict left turn is popped, so collinear points and
+    duplicates drop out."""
+    chain = []
+    for x, y in points:
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:
+                break
+            chain.pop()
+        chain.append((x, y))
+    return chain[:-1]
 
-        hull = P[ConvexHull(P).vertices]
-    except QhullError:
-        # Degenerate (collinear) clouds: bounding-box diagonal is exact.
+
+def data_diameter(points) -> float:
+    """Largest pairwise distance in a 2-d point cloud, over its convex hull.
+
+    An Akl-Toussaint prefilter first drops the points strictly inside the
+    quadrilateral of the extreme points in x + y and x - y, taken
+    counterclockwise: those with all four edge cross products > 0.  The
+    quadrilateral's corners are points of the cloud, so a point strictly
+    inside it is strictly inside the hull and is no hull vertex; a point on
+    an edge, or any point of a degenerate quadrilateral, stays.  Andrew's
+    monotone chain then runs on the survivors, sorted by x and then y.
+    The largest distance is then taken over all pairs of hull vertices.
+    The worst case is a cloud in convex position (on a circle, say): every
+    point survives, the chain loops in Python over each one, and the pair
+    pass is quadratic in them.  A hull of fewer than 3 vertices (a
+    collinear cloud) gives the bounding-box diagonal, which is exact there.
+    """
+    P = _point_cloud(points)
+    s, t = P[:, 0] + P[:, 1], P[:, 0] - P[:, 1]
+    quad = P[[s.argmin(), t.argmax(), s.argmax(), t.argmin()]]
+    inside = np.ones(len(P), dtype=bool)
+    for a, b in zip(quad, np.roll(quad, -1, axis=0)):
+        inside &= (b[0] - a[0]) * (P[:, 1] - a[1]) - (b[1] - a[1]) * (P[:, 0] - a[0]) > 0.0
+    kept = P[~inside]
+    kept = kept[np.lexsort((kept[:, 1], kept[:, 0]))].tolist()
+    hull = np.array(_half_hull(kept) + _half_hull(kept[::-1]))
+    if len(hull) < 3:
         span = P.max(axis=0) - P.min(axis=0)
         return float(np.hypot(*span))
-    diff = hull[:, None, :] - hull[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2).max()))
+    # Chunks of rows, each against the vertices from its first row on, keep
+    # the temporaries near 2 MB.  A pair's dx * dx + dy * dy does not depend
+    # on the chunking, so neither does the maximum.
+    hx, hy = hull[:, 0], hull[:, 1]
+    rows = max(1, 2 ** 16 // len(hull))
+    largest = 0.0
+    for i in range(0, len(hull), rows):
+        dx = hx[i:i + rows, None] - hx[None, i:]
+        dy = hy[i:i + rows, None] - hy[None, i:]
+        largest = max(largest, (dx * dx + dy * dy).max())
+    return float(np.sqrt(largest))
 
 
 def rot_scale(sample, polyline: BoundaryPolyline) -> float:

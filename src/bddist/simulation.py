@@ -63,6 +63,8 @@ class DgpSpec:
             object.__setattr__(self, name, value)
         if self.sigma0 < 0.0 or self.sigma1 < 0.0:
             raise InvalidInputError("noise scales must be nonnegative")
+        if self.score_scale == 0.0:  # a negative scale only mirrors the draw
+            raise InvalidInputError(f"score_scale must be nonzero, got {self.score_scale}")
         a, b = (float(v) for v in self.beta_params)
         if not (0.0 < a < np.inf and 0.0 < b < np.inf):
             raise InvalidInputError("Beta parameters must be positive and finite")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +36,7 @@ from bddist.errors import (
 from bddist.geometry import BoundaryPolyline, QuadrantRule, make_grid
 from bddist.kernels import FAMILIES
 from bddist.locpoly import fit_point
+from bddist.simulation import default_dgp, draw_sample
 from fit_oracle import build_distance_column
 from pilot_oracle import mse_pilot_objective, objective_of_fits, pilot_fits
 
@@ -463,6 +466,37 @@ def test_pilot_picks_lie_in_half_the_diameter(seed, n, kind, rule, kernel, p):
         assert isinstance(h, BddistError) or 0.0 < h <= half
 
 
+COORD = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def _qhull_diameter(points):
+    """Reference diameter: Qhull's hull vertices, or the bounding-box
+    diagonal where Qhull finds the cloud flat."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    try:
+        hull = points[ConvexHull(points).vertices]
+    except QhullError:
+        span = points.max(axis=0) - points.min(axis=0)
+        return float(np.hypot(*span))
+    diff = hull[:, None, :] - hull[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(axis=2).max()))
+
+
+@st.composite
+def hull_clouds(draw):
+    """Float clouds, and small integer grids under an integer linear map:
+    the grids hold duplicates, collinear runs and exactly collinear clouds."""
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)))
+    cells = st.tuples(st.integers(0, draw(st.integers(0, 4))),
+                      st.integers(0, draw(st.integers(0, 4))))
+    grid = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+    linear_map = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    return grid @ np.array(linear_map, dtype=float).reshape(2, 2)
+
+
 class TestDataDiameter:
     def test_square(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]])
@@ -476,8 +510,44 @@ class TestDataDiameter:
         with pytest.raises(InvalidInputError, match="at least 2 points"):
             coordinate_extent(np.zeros((1, 2)))
 
+    def test_non_planar_cloud_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"\(n, 2\) point cloud"):
+            data_diameter(np.zeros((4, 3)))
 
-COORD = st.floats(-1e6, 1e6, allow_nan=False)
+    @settings(max_examples=300, deadline=None)
+    @given(pts=hull_clouds())
+    @example(pts=np.array([[0.0, 0.0], [3.0, 4.0]]))
+    @example(pts=np.full((5, 2), 2.5))
+    @example(pts=np.column_stack([np.arange(6.0), 2.0 * np.arange(6.0) - 1.0]))
+    @example(pts=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]]))
+    def test_equals_qhull_reference(self, pts):
+        assert data_diameter(pts) == _qhull_diameter(pts)
+
+    @pytest.mark.parametrize("n", [5000, 20000])
+    def test_equals_qhull_reference_on_the_default_dgp(self, n):
+        x = draw_sample(default_dgp(), n, 0).x
+        assert data_diameter(x) == _qhull_diameter(x)
+
+    def test_rounding_flat_cloud_takes_the_largest_pairwise_distance(self):
+        # Collinear up to rounding: Qhull finds it flat, and the bounding-box
+        # diagonal is 1 ulp above the largest pairwise distance.
+        pts = np.array([[0.1, 0.2], [0.3, 0.6], [0.7, 1.4000000000000001]])
+        diff = pts[:, None, :] - pts[None, :, :]
+        assert data_diameter(pts) == np.sqrt((diff ** 2).sum(axis=2).max())
+
+    def test_pairwise_pass_memory_is_bounded(self):
+        # Every point on a circle is a hull vertex; one (h, h, 2) pass over
+        # 3000 of them would allocate about 360 MB.
+        theta = np.linspace(0.0, 2.0 * np.pi, 3000, endpoint=False)
+        pts = np.column_stack([np.cos(theta), np.sin(theta)])
+        tracemalloc.start()
+        try:
+            diameter = data_diameter(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diameter == _qhull_diameter(pts)
+        assert peak < 16e6
 
 
 @st.composite

@@ -538,12 +538,14 @@ class TestBadInputs:
          "{dgp}: 'boundary' and 'assignment' come from --boundary"),
         (["--dgp", '{"score_scale": "abc"}'],
          "{dgp}: invalid DGP override (could not convert string to float: 'abc')"),
+        (["--dgp", '{"score_scale": 0}'],
+         "{dgp}: invalid DGP override (score_scale must be nonzero, got 0.0)"),
         (["--dgp", '{"sigma1": "inf"}'],
          "{dgp}: invalid DGP override (sigma1 must be finite, got inf)"),
         (["--dgp", '{"beta_params": [3, NaN]}'],
          "{dgp}: invalid DGP override (Beta parameters must be positive and finite)"),
     ], ids=["n=1", "n=0", "reps=0", "reps=-2", "dgp-boundary", "dgp-assignment",
-            "dgp-score-scale", "dgp-sigma-inf", "dgp-beta-nan"])
+            "dgp-score-scale", "dgp-score-scale-zero", "dgp-sigma-inf", "dgp-beta-nan"])
     def test_simulate_setting_fails_before_any_replication(self, tmp_path, capsys,
                                                            monkeypatch, setting, message):
         def no_run(*args, **kwargs):
@@ -733,18 +735,21 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 """
 
 
-@pytest.mark.parametrize("run", ["import", "simulate", "estimate-rot"])
+@pytest.mark.parametrize("run", ["import", "simulate", "estimate-rot", "estimate-kink",
+                                 "estimate-mse"])
 def test_runs_load_no_scipy(tmp_path, boundary_file, run):
-    # Only the pilot rules' convex hull and the bias oracle's quadrature need
-    # scipy, and each loads it on demand.
+    # Only the bias oracle's quadrature needs scipy, and loads it on demand;
+    # the pilot rules' data diameter takes its convex hull in numpy.
     out = str(tmp_path / "out.csv")
+    estimate = ["estimate", "--data", write_dataset(tmp_path), "--boundary", boundary_file,
+                "--grid-size", "3", "--c0", "8", "--out", out]
     argv = {
         "import": [],
         "simulate": ["simulate", "--n", "2000", "--reps", "2", "--grid-size", "3",
                      "--c0", "8", "--band-draws", "1000", "--out", out],
-        "estimate-rot": ["estimate", "--data", write_dataset(tmp_path), "--boundary",
-                         boundary_file, "--grid-size", "3", "--bw-rule", "rot",
-                         "--c0", "8", "--out", out],
+        "estimate-rot": [*estimate, "--bw-rule", "rot"],
+        "estimate-kink": [*estimate, "--bw-rule", "kink"],
+        "estimate-mse": [*estimate, "--bw-rule", "mse"],
     }[run]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, json.dumps(argv)],

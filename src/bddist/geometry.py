@@ -297,13 +297,10 @@ AssignmentRule = QuadrantRule | PolygonRule
 def signed_distances(P, eval_pt, treated) -> np.ndarray:
     """Signed distances from points ``P`` to ``eval_pt``: + treated, - control.
 
-    ``eval_pt`` is one point, or an array of one point per row of ``P``.
     The side comes from the boolean mask ``treated``, never from the sign of
     a distance, so a control point at ``eval_pt`` itself scores -0.0.
     """
-    P = _as_points(P)
-    q = as_point(eval_pt) if np.ndim(eval_pt) == 1 else _as_points(eval_pt)
-    d = point_distances(P, q)
+    d = point_distances(_as_points(P), as_point(eval_pt))
     sign = np.where(treated, 1.0, -1.0)
     return sign * d
 

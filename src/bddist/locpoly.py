@@ -7,14 +7,14 @@ the two fitted intercepts.  Sample averages in the normal equations run over
 the full sample size n (not side-specific counts) so that the downstream
 variance formulas apply verbatim.
 
-``fit_grid`` fits every grid point in one pass.  One scan per point finds
-the rows within its bandwidth; the signed distances, kernel weights and
-basis of all kept rows are then formed together, elementwise, and grouped
-by point and side.  Each (point, side) group takes its own Gram and score
-products, solve and residuals on its rows alone, so every fit equals a fit
-of that point by itself, bit for bit.  A fit holds arrays only for its
-support rows: nothing of length n outlives the pass.  ``fit_point`` is the
-one-point case.
+``fit_grid`` fits every grid point in one pass, one point at a time.  A
+scan finds the rows within the point's bandwidth; their signed distances,
+kernel weights and basis are formed on those rows alone, and each side
+keeps its positively weighted rows.  Each side's Gram and score products,
+solve and influence values run on its own rows, so every fit equals a fit
+of that point by itself, bit for bit; one batched eigendecomposition serves
+every side.  A fit keeps only its support rows and their influence values:
+nothing of length n outlives the pass.  ``fit_point`` is the one-point case.
 """
 
 from __future__ import annotations
@@ -85,10 +85,11 @@ class SideFit:
 
     ``gamma_hat`` holds coefficients of (1, D/h, ..., (D/h)^p); raw-basis
     coefficients are gamma_hat[j] / h^j.  ``rows`` are the ascending sample
-    indices of the n_eff positively weighted observations on the side;
-    their signed ``distances``, ``weights``, ``residuals`` and
-    ``influence`` values phi_i = e1' Psi^{-1} r_p(D_i/h) K_h(D_i) e_i of the
-    intercept are aligned with them and kept for covariance estimation.
+    indices of the n_eff positively weighted observations on the side, and
+    ``influence`` their values phi_i = e1' Psi^{-1} r_p(D_i/h) K_h(D_i) e_i
+    of the intercept: all that the covariance surface reads.  The distances,
+    weights and residuals follow from the sample, ``rows`` and
+    ``gamma_hat``.
     """
 
     side: int
@@ -96,9 +97,6 @@ class SideFit:
     n_eff: int
     gram: GramMatrix
     rows: np.ndarray
-    distances: np.ndarray
-    weights: np.ndarray
-    residuals: np.ndarray
     influence: np.ndarray
 
     @property
@@ -143,57 +141,44 @@ def side_failure(counts, min_eigenvalues, q: int) -> BddistError | None:
     return None
 
 
-def _support_rows(x, points, radii):
-    """Rows of ``x`` within each radius of its point: one scan per point.
+def _support_rows(x, pt, radius) -> np.ndarray:
+    """Ascending rows of ``x`` within ``radius`` of ``pt``: one scan.
 
-    Each scan keeps every row whose squared distance is within
+    The scan keeps every row whose squared distance is within
     radius (1 + 1e-9), a margin that absorbs the rounding of the squares, so
     no row inside the kernel support of a bandwidth h = radius is lost.  It
-    walks the rows in the blocks of ``row_blocks`` through two reused block
+    walks the rows in the blocks of ``row_blocks`` through two block
     buffers; each row's arithmetic is the same in any block, so the kept
     rows do not depend on the blocking.
-
-    Returns ``(point, rows)``: for each point in turn, its kept rows in
-    ascending order, and the point's index alongside each row.
     """
     n = len(x)
     keep = np.empty(n, dtype=bool)
     dx = np.empty(min(n, ROW_BLOCK + 1))
     dy = np.empty_like(dx)
-    blocks = row_blocks(n)
-    found = []
-    for pt, radius in zip(points, radii):
-        r2 = (radius * (1.0 + 1e-9)) ** 2
-        for block in blocks:
-            m = block.stop - block.start
-            bx, by = dx[:m], dy[:m]
-            np.subtract(x[block, 0], pt[0], out=bx)
-            np.subtract(x[block, 1], pt[1], out=by)
-            np.multiply(bx, bx, out=bx)
-            np.multiply(by, by, out=by)
-            np.add(bx, by, out=bx)
-            np.less_equal(bx, r2, out=keep[block])
-        found.append(np.flatnonzero(keep))
-    point = np.repeat(np.arange(len(found)), [r.size for r in found])
-    return point, np.concatenate(found)
+    r2 = (radius * (1.0 + 1e-9)) ** 2
+    for block in row_blocks(n):
+        m = block.stop - block.start
+        bx, by = dx[:m], dy[:m]
+        np.subtract(x[block, 0], pt[0], out=bx)
+        np.subtract(x[block, 1], pt[1], out=by)
+        np.multiply(bx, bx, out=bx)
+        np.multiply(by, by, out=by)
+        np.add(bx, by, out=bx)
+        np.less_equal(bx, r2, out=keep[block])
+    return np.flatnonzero(keep)
 
 
-def _support_segments(sample, pts, hs, kernel: str):
-    """``(counts, rows, d, w, u)``: the positively weighted rows of segment
-    t m + j (side t of point j) ascending, with their signed distances, kernel
-    weights and D/h.  The arrays for all kept rows formed on the way die with
-    this call, before the fits."""
-    point, rows = _support_rows(sample.x, pts, hs)
+def _point_sides(sample, pt, kernel: str, h: float, p: int) -> list:
+    """``(rows, w, B)`` for side 0, then side 1, at one point: the side's
+    positively weighted rows ascending, their kernel weights K(D/h)/h^2 and
+    their scaled basis rows."""
+    rows = _support_rows(sample.x, pt, h)
     treated = sample.treated[rows]
-    d = signed_distances(sample.x[rows], pts[point], treated)
-    u = d / hs[point]
-    w = kernel_eval(kernel, u) / (hs * hs)[point]
+    u = signed_distances(sample.x.take(rows, axis=0), pt, treated) / h
+    w = kernel_eval(kernel, u) / (h * h)
     pos = w > 0.0
-    by_side = [np.flatnonzero(pos & ~treated), np.flatnonzero(pos & treated)]
-    order = np.concatenate(by_side)
-    counts = np.concatenate([np.bincount(point[i], minlength=len(pts)) for i in by_side])
-    del point, treated, pos, by_side  # before the sorted copies are made
-    return counts, rows[order], d[order], w[order], u[order]
+    return [(rows[i], w[i], scaled_basis(u[i], p))
+            for i in (np.flatnonzero(pos & ~treated), np.flatnonzero(pos & treated))]
 
 
 def _fit_points(sample, points, kernel: str, hs, p: int) -> list:
@@ -207,46 +192,39 @@ def _fit_points(sample, points, kernel: str, hs, p: int) -> list:
     todo = [k for k, err in enumerate(out) if err is None]
     if not todo:
         return out
-    n, m = len(sample), len(todo)
-    counts, rows, d, w, u = _support_segments(
-        sample, points[todo], np.array([hs[k] for k in todo], dtype=float), kernel)
-    B = scaled_basis(u, p)
-    segs = [slice(end - c, end) for c, end in zip(counts, np.cumsum(counts))]
-    y = sample.y[rows]
+    n = len(sample)
+    sides = [_point_sides(sample, points[k], kernel, float(hs[k]), p) for k in todo]
 
-    # Every product runs on one segment's rows alone: BLAS sums depend on
-    # the operands' shapes, so a batched product would change the last bits.
-    # The weighted design is formed per segment too, never for all rows.
-    grams = np.zeros((2 * m, p + 1, p + 1))
-    for s in np.flatnonzero(counts >= p + 1):
-        Bs = B[segs[s]]
-        grams[s] = (Bs * w[segs[s], None]).T @ Bs
+    # Every product runs on one side's rows alone: BLAS sums depend on the
+    # operands' shapes, so a product over several sides would change the
+    # last bits.  One batched eigendecomposition serves every side.
+    grams = np.zeros((len(todo), 2, p + 1, p + 1))
+    for j, t in np.ndindex(grams.shape[:2]):
+        _, w, B = sides[j][t]
+        if w.size >= p + 1:
+            grams[j, t] = (B * w[:, None]).T @ B
     grams /= n
-    grams = 0.5 * (grams + grams.transpose(0, 2, 1))
+    grams = 0.5 * (grams + np.swapaxes(grams, -1, -2))
     eigenvalues, eigenvectors = np.linalg.eigh(grams)
 
-    residuals = np.empty_like(y)
-    influence = np.empty_like(y)
-    for arr in (rows, d, w):
-        arr.setflags(write=False)
     for j, k in enumerate(todo):
-        out[k] = side_failure(counts[j::m], eigenvalues[j::m, 0], p)
+        point, sides[j] = sides[j], None  # a point's weights and basis die with its fit
+        counts = [rows.size for rows, _, _ in point]
+        out[k] = side_failure(counts, eigenvalues[j, :, 0], p)
         if out[k] is not None:
             continue
-        sides = []
-        for t, s in enumerate((j, m + j)):
-            seg = segs[s]
-            g = GramMatrix(grams[s], eigenvalues[s], eigenvectors[s])
-            gamma = g.solve((B[seg] * w[seg, None]).T @ y[seg] / n)
-            r, phi = residuals[seg], influence[seg]
-            np.subtract(y[seg], B[seg] @ gamma, out=r)
-            np.multiply(B[seg] @ g.inv_e1(), w[seg], out=phi)
-            phi *= r
-            r.setflags(write=False)
+        fits = []
+        for t, (rows, w, B) in enumerate(point):
+            g = GramMatrix(grams[j, t], eigenvalues[j, t], eigenvectors[j, t])
+            y = sample.y.take(rows)
+            gamma = g.solve((B * w[:, None]).T @ y / n)
+            phi = B @ g.inv_e1()
+            phi *= w
+            phi *= y - B @ gamma
+            rows.setflags(write=False)
             phi.setflags(write=False)
-            sides.append(SideFit(t, gamma, int(counts[s]), g,
-                                 rows[seg], d[seg], w[seg], r, phi))
-        out[k] = PointFit(points[k], float(hs[k]), int(p), kernel, n, *sides)
+            fits.append(SideFit(t, gamma, counts[t], g, rows, phi))
+        out[k] = PointFit(points[k], float(hs[k]), int(p), kernel, n, *fits)
     return out
 
 

@@ -2,9 +2,10 @@
 
 ``fit_side`` fits one side of one point on its own, from a distance column
 over every sample row, with fresh arrays and one product at a time.
-``bddist.locpoly`` fits every grid point in one pass over the kept rows of
-all points; ``fit_grid`` and ``fit_point`` must equal these fits bit for
-bit.
+``bddist.locpoly`` fits each grid point from the rows its scan keeps;
+``fit_grid`` and ``fit_point`` must equal these fits bit for bit.  A fit
+keeps only its rows and influence values; ``support_arrays`` recomputes a
+side's distances, weights and residuals from the sample.
 
 A ``DistanceColumn`` holds the signed distances of sample rows to one
 evaluation point, with their side mask; ``build_distance_column`` builds
@@ -124,9 +125,21 @@ def fit_side(y, column: DistanceColumn, side: int, kernel: str, h: float, p: int
     gamma = g.solve(s)
     residuals = y - B @ gamma
     phi = (B @ g.inv_e1()) * w * residuals
-    for arr in (rows, d, w, residuals, phi):
+    for arr in (rows, phi):
         arr.setflags(write=False)
-    return SideFit(side, gamma, int(idx.size), g, rows, d, w, residuals, phi)
+    return SideFit(side, gamma, int(idx.size), g, rows, phi)
+
+
+def support_arrays(sample, fit: PointFit, side: int):
+    """``(distances, weights, residuals)`` on the rows of one side of
+    ``fit``, recomputed from the sample: the signed distances of the column
+    over every row, the kernel weights K_h(D) and y minus the fitted
+    values."""
+    sf = fit.side(side)
+    d = build_distance_column(sample, fit.eval_pt).values[sf.rows]
+    w = kh_weight(fit.kernel, d, fit.h)
+    residuals = sample.y[sf.rows] - scaled_basis(d / fit.h, fit.p) @ sf.gamma_hat
+    return d, w, residuals
 
 
 def fit_point(sample, eval_pt, kernel: str, h: float, p: int,

@@ -5,13 +5,16 @@ of sandwich forms: each side contributes
 (nh^2)^{-1} e1' Psi(x1)^{-1} Upsilon(x1, x2) Psi(x2)^{-1} e1, where Upsilon
 pairs kernel-weighted basis residual products of observations weighted at
 both points.  ``bddist.covariance`` computes the same numbers from
-influence values; these functions check it.
+influence values; these functions check it.  The fits keep only their rows
+and influence values, so the residuals and weights come from the sample
+(``fit_oracle.support_arrays``).
 """
 
 import numpy as np
 
 from bddist.errors import InvalidPairingError
 from bddist.locpoly import PointFit, scaled_basis
+from fit_oracle import support_arrays
 
 
 def _check_pairing(fit_a: PointFit, fit_b: PointFit, require_same_h: bool = True):
@@ -25,7 +28,7 @@ def _check_pairing(fit_a: PointFit, fit_b: PointFit, require_same_h: bool = True
         )
 
 
-def upsilon(fit_a: PointFit, fit_b: PointFit, side: int) -> np.ndarray:
+def upsilon(sample, fit_a: PointFit, fit_b: PointFit, side: int) -> np.ndarray:
     """Residual product moment matrix between two evaluation points, one side.
 
     Entry (j, k) is h^2 n^{-1} sum_i (D_i(x1)/h)^j (D_i(x2)/h)^k K_h(D_i(x1))
@@ -42,21 +45,23 @@ def upsilon(fit_a: PointFit, fit_b: PointFit, side: int) -> np.ndarray:
     p = fit_a.p
     if rows.size == 0:
         return np.zeros((p + 1, p + 1))
-    Ba = scaled_basis(sa.distances[ia] / h, p)
-    Bb = scaled_basis(sb.distances[ib] / h, p)
-    wa = sa.weights[ia] * sa.residuals[ia]
-    wb = sb.weights[ib] * sb.residuals[ib]
+    da, ka, ea = support_arrays(sample, fit_a, side)
+    db, kb, eb = support_arrays(sample, fit_b, side)
+    Ba = scaled_basis(da[ia] / h, p)
+    Bb = scaled_basis(db[ib] / h, p)
+    wa = ka[ia] * ea[ia]
+    wb = kb[ib] * eb[ib]
     return h * h * (Ba * wa[:, None]).T @ (Bb * wb[:, None]) / n
 
 
-def xi_pair(fit_a: PointFit, fit_b: PointFit) -> float:
+def xi_pair(sample, fit_a: PointFit, fit_b: PointFit) -> float:
     """Covariance estimate between theta_hat at two points: both sides summed."""
     _check_pairing(fit_a, fit_b)
     n = fit_a.n
     h = fit_a.h
     total = 0.0
     for side in (0, 1):
-        ups = upsilon(fit_a, fit_b, side)
+        ups = upsilon(sample, fit_a, fit_b, side)
         va = fit_a.side(side).gram.inv_e1()
         vb = fit_b.side(side).gram.inv_e1()
         total += float(va @ ups @ vb) / (n * h * h)

@@ -7,18 +7,22 @@ from bddist.data import Sample
 from bddist.errors import DegenerateVarianceError, InvalidPairingError
 from bddist.geometry import QuadrantRule
 from bddist.locpoly import PointFit, fit_point, scaled_basis
-from fit_oracle import DistanceColumn, fit_side
+from fit_oracle import DistanceColumn, fit_side, support_arrays
 from sandwich_oracle import upsilon, xi_pair
 
 RULE = QuadrantRule()
 
 
 def one_sided_point_fit(values, y, kernel="uniform", h=1.0, p=0):
-    """PointFit whose treated side carries the data (control side unused)."""
+    """``(sample, fit)``: a PointFit whose treated side carries the data
+    (control side unused), and a sample whose rows lie on the x1 axis at
+    the signed distances ``values`` from the origin."""
     values = np.asarray(values, dtype=float)
+    y = np.asarray(y, dtype=float)
     col = DistanceColumn(np.zeros(2), values, values >= 0.0)
-    side1 = fit_side(np.asarray(y, dtype=float), col, 1, kernel, h, p)
-    return PointFit(np.zeros(2), h, p, kernel, len(col), side1, side1)
+    side1 = fit_side(y, col, 1, kernel, h, p)
+    sample = Sample(y, np.column_stack([values, np.zeros_like(values)]), col.treated)
+    return sample, PointFit(np.zeros(2), h, p, kernel, len(col), side1, side1)
 
 
 def random_two_sided_sample(rng, n=160):
@@ -32,9 +36,9 @@ class TestUpsilon:
         # Two treated points D = {0.2, 0.6}, Y = {1, 3}, p = 0, uniform,
         # h = 1, n = 2: the intercept is 2, residuals are {-1, +1}, so
         # Upsilon_1 = 1 * (1 + 1) / 2 = 1 and Xi_1 = (1/2) * 1 * 1 * 1 = 0.5.
-        fit = one_sided_point_fit([0.2, 0.6], [1.0, 3.0])
+        sample, fit = one_sided_point_fit([0.2, 0.6], [1.0, 3.0])
         assert_allclose(fit.fit1.intercept, 2.0)
-        ups = upsilon(fit, fit, 1)
+        ups = upsilon(sample, fit, fit, 1)
         assert_allclose(ups, [[1.0]])
         v = fit.fit1.gram.inv_e1()
         xi1 = float(v @ ups @ v) / (2 * 1.0 * 1.0)
@@ -42,16 +46,16 @@ class TestUpsilon:
 
     def test_exact_polynomial_data_gives_zero(self):
         vals = np.array([0.1, 0.3, 0.5, 0.8])
-        fit = one_sided_point_fit(vals, 2.0 - 3.0 * vals, p=1)
-        assert_allclose(upsilon(fit, fit, 1), np.zeros((2, 2)), atol=1e-25)
+        sample, fit = one_sided_point_fit(vals, 2.0 - 3.0 * vals, p=1)
+        assert_allclose(upsilon(sample, fit, fit, 1), np.zeros((2, 2)), atol=1e-25)
 
     def test_disjoint_supports_give_zero(self):
         rng = np.random.default_rng(0)
         sample = random_two_sided_sample(rng)
         fa = fit_point(sample, (0.0, 0.0), "uniform", 0.3, 0)
         fb = fit_point(sample, (0.95, 0.0), "uniform", 0.3, 0)
-        assert_allclose(upsilon(fa, fb, 1), np.zeros((1, 1)))
-        assert xi_pair(fa, fb) == 0.0
+        assert_allclose(upsilon(sample, fa, fb, 1), np.zeros((1, 1)))
+        assert xi_pair(sample, fa, fb) == 0.0
 
     def test_mismatched_bandwidths_rejected(self):
         rng = np.random.default_rng(1)
@@ -59,9 +63,9 @@ class TestUpsilon:
         fa = fit_point(sample, (0.0, 0.0), "uniform", 0.5, 0)
         fb = fit_point(sample, (0.1, 0.0), "uniform", 0.6, 0)
         with pytest.raises(InvalidPairingError):
-            upsilon(fa, fb, 1)
+            upsilon(sample, fa, fb, 1)
         with pytest.raises(InvalidPairingError):
-            xi_pair(fa, fb)
+            xi_pair(sample, fa, fb)
 
     def test_double_indicator_equals_single_on_boundary(self):
         # Membership depends only on the observation's region, so applying
@@ -74,7 +78,7 @@ class TestUpsilon:
         fb = fit_point(sample, (0.4, 0.0), "triangular", 0.9, 1)
         h, n = fa.h, len(sample)
         for side in (0, 1):
-            got = upsilon(fa, fb, side)
+            got = upsilon(sample, fa, fb, side)
             # Single-indicator recomputation: the side mask enters through
             # the first evaluation point only; at the second point the kernel
             # weight and residual are used unmasked.  The rows of the side
@@ -82,9 +86,10 @@ class TestUpsilon:
             sa, sb = fa.side(side), fb.side(side)
             rows = sa.rows
             db = (1.0 if side == 1 else -1.0) * np.hypot(*(sample.x[rows] - fb.eval_pt).T)
-            Ba = scaled_basis(sa.distances / h, 1)
+            da, ka, ea = support_arrays(sample, fa, side)
+            Ba = scaled_basis(da / h, 1)
             Bb = scaled_basis(db / h, 1)
-            wa = sa.weights * sa.residuals
+            wa = ka * ea
             kb = kh_weight("triangular", db, h)
             resid_b = sample.y[rows] - Bb @ sb.gamma_hat
             wb = kb * resid_b
@@ -98,23 +103,23 @@ class TestXiPair:
         sample = random_two_sided_sample(rng, n=250)
         fa = fit_point(sample, (0.0, 0.0), "triangular", 0.8, 1)
         fb = fit_point(sample, (0.3, 0.0), "triangular", 0.8, 1)
-        assert abs(xi_pair(fa, fb) - xi_pair(fb, fa)) < 1e-10
+        assert abs(xi_pair(sample, fa, fb) - xi_pair(sample, fb, fa)) < 1e-10
 
     def test_variance_positive_with_noise(self):
         rng = np.random.default_rng(4)
         sample = random_two_sided_sample(rng)
         fit = fit_point(sample, (0.0, 0.0), "uniform", 0.9, 1)
-        assert xi_pair(fit, fit) > 0.0
+        assert xi_pair(sample, fit, fit) > 0.0
 
     def test_quadratic_in_residual_scale(self):
         vals = np.array([0.2, 0.6, 0.9])
         base = np.array([1.0, 3.0, 2.0])
-        fit1 = one_sided_point_fit(vals, base)
+        sample1, fit1 = one_sided_point_fit(vals, base)
         mean = fit1.fit1.intercept
-        fit2 = one_sided_point_fit(vals, mean + 2.0 * (base - mean))
+        sample2, fit2 = one_sided_point_fit(vals, mean + 2.0 * (base - mean))
         v = fit1.fit1.gram.inv_e1()
-        xi_a = float(v @ upsilon(fit1, fit1, 1) @ v)
-        xi_b = float(v @ upsilon(fit2, fit2, 1) @ v)
+        xi_a = float(v @ upsilon(sample1, fit1, fit1, 1) @ v)
+        xi_b = float(v @ upsilon(sample2, fit2, fit2, 1) @ v)
         assert_allclose(xi_b, 4.0 * xi_a, rtol=1e-12)
 
 
@@ -136,7 +141,7 @@ class TestBuildSurface:
         surface = build_surface(fits)
         for i in range(3):
             for j in range(3):
-                assert_allclose(surface.xi[i, j], xi_pair(fits[i], fits[j]),
+                assert_allclose(surface.xi[i, j], xi_pair(sample, fits[i], fits[j]),
                                 rtol=1e-10, atol=1e-18)
 
     def test_duplicated_point_perfectly_correlated(self):
@@ -217,4 +222,4 @@ class TestInfluenceValues:
             return out
 
         total = sum(float(dense(fa, side) @ dense(fb, side)) / (n * n) for side in (0, 1))
-        assert_allclose(total, xi_pair(fa, fb), rtol=1e-12, atol=1e-20)
+        assert_allclose(total, xi_pair(sample, fa, fb), rtol=1e-12, atol=1e-20)

@@ -27,6 +27,7 @@ from bddist.inference import (
 from bddist.kernels import FAMILIES
 from bddist.locpoly import PointFit, fit_grid, fit_point
 from bddist.simulation import default_dgp, draw_sample, run_monte_carlo
+from fit_oracle import support_arrays
 
 RULE = QuadrantRule()
 
@@ -420,7 +421,8 @@ class TestAffineOutcome:
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, (n, 2))
         y = np.where(RULE.contains(x), 1.0, 0.0) + x[:, 0] ** 2 + rng.normal(size=n)
-        base = estimate(Sample.from_data(y, x, RULE), self.GRID, self.RULES[rule], kernel, p)
+        sample = Sample.from_data(y, x, RULE)
+        base = estimate(sample, self.GRID, self.RULES[rule], kernel, p)
         moved = estimate(Sample.from_data(a + b * y, x, RULE), self.GRID, self.RULES[rule],
                          kernel, p)
         assert moved.fitted == base.fitted
@@ -438,6 +440,7 @@ class TestAffineOutcome:
             kappa = max(s.gram.eigenvalues[-1] / s.gram.eigenvalues[0] for s in sides)
             bound = (p + 1) * max(s.n_eff for s in sides) * eps * kappa * scale
             assert abs(g.theta_hat - b * f.theta_hat) <= 2 * bound
+            weights = [support_arrays(sample, f, t)[1] for t in (0, 1)]
             spread = math.sqrt(sum(((p + 1) / s.gram.eigenvalues[0]) ** 2
-                                   * np.sum(s.weights ** 2) for s in sides)) / f.n
+                                   * np.sum(w ** 2) for s, w in zip(sides, weights))) / f.n
             assert abs(se_moved - abs(b) * se) <= bound * spread + 4 * eps * abs(b) * se

@@ -27,7 +27,13 @@ from bddist.locpoly import (
     side_failure,
 )
 from fit_oracle import fit_point as oracle_fit_point
-from fit_oracle import DistanceColumn, build_distance_column, fit_side, gram_from_design
+from fit_oracle import (
+    DistanceColumn,
+    build_distance_column,
+    fit_side,
+    gram_from_design,
+    support_arrays,
+)
 
 RULE = QuadrantRule()
 ORIGIN = np.zeros(2)
@@ -222,7 +228,7 @@ class TestFitPoint:
         assert fit.fit0.n_eff == np.sum(near & ~RULE.contains(x))
         assert fit.fit1.n_eff == np.sum(near & RULE.contains(x))
         assert 0 in fit.fit0.rows and 0 not in fit.fit1.rows
-        assert np.signbit(fit.fit0.distances[0])
+        assert np.signbit(support_arrays(sample, fit, 0)[0][0])
 
     def test_error_carries_side(self):
         x = np.array([[0.5, 0.5], [0.7, 0.1], [0.2, 0.9]])
@@ -258,10 +264,29 @@ class TestSupportOnly:
         assert max(a.size for a in arrays) <= 1.1 * support
         for side in (0, 1):
             sf = fit.side(side)
-            assert (sf.rows.shape == sf.distances.shape == sf.weights.shape
-                    == sf.residuals.shape == (sf.n_eff,))
+            assert sf.rows.shape == sf.influence.shape == (sf.n_eff,)
             assert np.all(np.diff(sf.rows) > 0)
             assert np.all(sample.treated[sf.rows] == bool(side))
+
+    def test_side_fits_hold_only_rows_and_influence(self):
+        # Per row, a side fit keeps its support rows and their influence
+        # values, nothing else; both are read-only, and no two arrays of any
+        # fits on the grid share a buffer.
+        rng = np.random.default_rng(13)
+        x = rng.uniform(-1, 1, (2000, 2))
+        sample = Sample.from_data(rng.normal(size=2000), x, RULE)
+        grid = make_grid(BoundaryPolyline.from_vertices([(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)]), 5)
+        held = []
+        for fit in fit_grid(sample, grid, "triangular", 0.5, 1):
+            assert isinstance(fit, PointFit)
+            for sf in (fit.fit0, fit.fit1):
+                assert [f.name for f in dataclasses.fields(sf)] == [
+                    "side", "gamma_hat", "n_eff", "gram", "rows", "influence"]
+                for arr in (sf.rows, sf.influence):
+                    assert arr.shape == (sf.n_eff,) and not arr.flags.writeable
+                held += [sf.rows, sf.influence]
+        for i, a in enumerate(held):
+            assert not any(np.shares_memory(a, b) for b in held[i + 1:])
 
 
 class TestJointScaling:
@@ -333,17 +358,18 @@ class TestSupportScan:
         x = rng.uniform(-1, 1, (500, 2))
         sample = Sample.from_data(rng.normal(size=500), x, RULE)
         full = build_distance_column(sample, (0.3, 0.0))
-        point, rows = _support_rows(x, np.array([[0.3, 0.0]]), np.array([0.4]))
+        rows = _support_rows(x, np.array([0.3, 0.0]), 0.4)
         support = np.flatnonzero(np.abs(full.values) <= 0.4)
-        assert np.array_equal(rows, support) and not point.any()
+        assert np.array_equal(rows, support)
         # Under the uniform kernel every row within h carries weight, so the
-        # fit's two sides hold exactly these rows, at the full column's
-        # distances.
+        # fit's two sides hold exactly these rows; their distances, taken
+        # from the kept rows alone, are the full column's.
         fit = fit_point(sample, (0.3, 0.0), "uniform", 0.4, 0)
         assert np.array_equal(np.union1d(fit.fit0.rows, fit.fit1.rows), support)
         for side in (0, 1):
             sf = fit.side(side)
-            assert np.array_equal(sf.distances, full.values[sf.rows])
+            kept = signed_distances(x.take(sf.rows, axis=0), (0.3, 0.0), sample.treated[sf.rows])
+            assert np.array_equal(kept, full.values[sf.rows])
             assert np.all(sample.treated[sf.rows] == bool(side))
 
     def test_blocked_scan_matches_the_one_shot_scan(self):
@@ -365,19 +391,17 @@ class TestSupportScan:
         dx, dy = x[:, 0] - pt[0], x[:, 1] - pt[1]
         expected = np.flatnonzero(dx * dx + dy * dy <= (radius * (1.0 + 1e-9)) ** 2)
         # The same point twice, then a radius that keeps every row.
-        point, rows = _support_rows(x, np.array([pt, pt, pt]), np.array([radius, radius, 9.0]))
-        assert np.array_equal(point, np.repeat([0, 1, 2], [expected.size] * 2 + [n]))
-        assert np.array_equal(rows[point == 0], expected)
-        assert np.array_equal(rows[point == 1], expected)
-        assert np.array_equal(rows[point == 2], np.arange(n))
+        assert np.array_equal(_support_rows(x, pt, radius), expected)
+        assert np.array_equal(_support_rows(x, pt, radius), expected)
+        assert np.array_equal(_support_rows(x, pt, 9.0), np.arange(n))
         assert np.isin(on, expected).all() and not np.isin(past, expected).any()
         # The fit sees the rows on the radius, at their one-shot distances.
         sample = Sample.from_data(np.random.default_rng(9).normal(size=n), x, RULE)
         fit = fit_point(sample, pt, "uniform", radius, 0)
         kept = np.union1d(fit.fit0.rows, fit.fit1.rows)
         assert np.isin(on, kept).all() and not np.isin(past, kept).any()
-        for sf in (fit.fit0, fit.fit1):
-            assert np.array_equal(sf.distances, signed_distances(
+        for side, sf in enumerate((fit.fit0, fit.fit1)):
+            assert np.array_equal(support_arrays(sample, fit, side)[0], signed_distances(
                 x[sf.rows], pt, sample.treated[sf.rows]))
 
 
@@ -389,7 +413,7 @@ SELECTION_ERROR = BandwidthSelectionError("no candidate")
 L_BOUNDARY = BoundaryPolyline.from_vertices([(0.0, 1.5), (0.0, 0.0), (1.5, 0.0)])
 
 
-def assert_same_fit(fit, ref):
+def assert_same_fit(fit, ref, sample):
     assert isinstance(fit, PointFit)
     assert (fit.h, fit.p, fit.kernel, fit.n) == (ref.h, ref.p, ref.kernel, ref.n)
     assert np.array_equal(fit.eval_pt, ref.eval_pt)
@@ -398,10 +422,15 @@ def assert_same_fit(fit, ref):
         a, b = fit.side(side), ref.side(side)
         assert (a.side, a.n_eff) == (b.side, b.n_eff) and type(a.n_eff) is int
         assert np.array_equal(a.gamma_hat, b.gamma_hat)
-        for name in ("rows", "distances", "weights", "residuals", "influence"):
+        for name in ("rows", "influence"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
             assert getattr(a, name).dtype == getattr(b, name).dtype, name
             assert not getattr(a, name).flags.writeable, name
+        # The distances, weights and residuals the fit implies, from the sample.
+        for name, got, want in zip(("distances", "weights", "residuals"),
+                                   support_arrays(sample, fit, side),
+                                   support_arrays(sample, ref, side)):
+            assert np.array_equal(got, want) and got.dtype == want.dtype, name
         for name in ("matrix", "eigenvalues", "eigenvectors"):
             assert np.array_equal(getattr(a.gram, name), getattr(b.gram, name)), name
 
@@ -414,7 +443,7 @@ def assert_same_outcome(fit, sample, pt, kernel, h, p):
         assert type(fit) is type(err) and str(fit) == str(err)
         assert getattr(fit, "side", None) == getattr(err, "side", None)
     else:
-        assert_same_fit(fit, ref)
+        assert_same_fit(fit, ref, sample)
 
 
 class TestGridPassMatchesOracle:

@@ -270,8 +270,8 @@ def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
     lam_p, vec_p = np.linalg.eigh(grams[..., :p + 1, :p + 1])
     lam_p1, vec_p1 = np.linalg.eigh(grams)
     for k in range(hs.size):
-        out[valid[k]] = (side_failure(counts[k], lam_p[k, :, 0], p)
-                         or side_failure(counts[k], lam_p1[k, :, 0], p + 1))
+        out[valid[k]] = (side_failure(counts[k], lam_p[k, :, 0], p, hs[k])
+                         or side_failure(counts[k], lam_p1[k, :, 0], p + 1, hs[k]))
     ok = [k for k in range(hs.size) if out[valid[k]] is None]
     if not ok:
         return out

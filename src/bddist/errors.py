@@ -41,7 +41,11 @@ class InsufficientDataError(BddistError):
 
 
 class SingularGramError(BddistError):
-    """Weighted second-moment matrix is numerically singular on one side."""
+    """Weighted second-moment matrix is numerically singular on one side.
+
+    ``min_eigenvalue`` is h^2 times the Gram's smallest eigenvalue: the
+    smallest eigenvalue of the unit-free Gram, which the check compares.
+    """
 
     code = "singular-gram"
 
@@ -49,8 +53,8 @@ class SingularGramError(BddistError):
         self.side = side
         self.min_eigenvalue = min_eigenvalue
         super().__init__(
-            f"side {side}: gram matrix minimum eigenvalue "
-            f"{min_eigenvalue:.3e} below 1e-10"
+            f"side {side}: h^2 times the gram matrix minimum eigenvalue is "
+            f"{min_eigenvalue:.3e}, below 1e-10"
         )
 
 

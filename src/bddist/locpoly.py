@@ -32,6 +32,7 @@ from .errors import (
 from .geometry import ROW_BLOCK, as_point, row_blocks, signed_distances
 from .kernels import bandwidth_error, kernel_eval
 
+# Floor on h^2 times a side's smallest Gram eigenvalue (see side_failure).
 MIN_GRAM_EIGENVALUE = 1e-10
 
 
@@ -129,15 +130,25 @@ class PointFit:
         return self.fit1 if t == 1 else self.fit0
 
 
-def side_failure(counts, min_eigenvalues, q: int) -> BddistError | None:
-    """The error an order-q fit raises first, or None, given each side's
-    count of positively weighted rows and smallest Gram eigenvalue.  Side 0
-    is checked before side 1, and on a side the count before the Gram."""
+def side_failure(counts, min_eigenvalues, q: int, h: float) -> BddistError | None:
+    """The error an order-q fit at bandwidth h raises first, or None, given
+    each side's count of positively weighted rows and smallest Gram
+    eigenvalue.  Side 0 is checked before side 1, and on a side the count
+    before the Gram.
+
+    The Gram n^{-1} sum_i K(u_i)/h^2 r(u_i) r(u_i)' has units of 1/h^2,
+    as u = D/h has none; so the check compares h^2 lambda_min, the smallest
+    eigenvalue of the unit-free Gram of the weights K(u), with
+    MIN_GRAM_EIGENVALUE.  Scaling the coordinates and h by c leaves it
+    unchanged.  It still averages over all n rows: with the support held
+    fixed it falls like n_eff / n as n grows.
+    """
     for side in (0, 1):
         if counts[side] < q + 1:
             return InsufficientDataError(side, int(counts[side]), q + 1)
-        if min_eigenvalues[side] < MIN_GRAM_EIGENVALUE:
-            return SingularGramError(side, float(min_eigenvalues[side]))
+        unit_free = h * h * min_eigenvalues[side]
+        if unit_free < MIN_GRAM_EIGENVALUE:
+            return SingularGramError(side, float(unit_free))
     return None
 
 
@@ -210,7 +221,8 @@ def _fit_points(sample, points, kernel: str, hs, p: int) -> list:
     for j, k in enumerate(todo):
         point, sides[j] = sides[j], None  # a point's weights and basis die with its fit
         counts = [rows.size for rows, _, _ in point]
-        out[k] = side_failure(counts, eigenvalues[j, :, 0], p)
+        h = float(hs[k])
+        out[k] = side_failure(counts, eigenvalues[j, :, 0], p, h)
         if out[k] is not None:
             continue
         fits = []
@@ -224,7 +236,7 @@ def _fit_points(sample, points, kernel: str, hs, p: int) -> list:
             rows.setflags(write=False)
             phi.setflags(write=False)
             fits.append(SideFit(t, gamma, counts[t], g, rows, phi))
-        out[k] = PointFit(points[k], float(hs[k]), int(p), kernel, n, *fits)
+        out[k] = PointFit(points[k], h, int(p), kernel, n, *fits)
     return out
 
 

@@ -100,8 +100,9 @@ def fit_side(y, column: DistanceColumn, side: int, kernel: str, h: float, p: int
     """Fit one side by kernel-weighted least squares.
 
     Raises InsufficientDataError when fewer than p + 1 observations carry
-    positive weight on this side, and SingularGramError when the weighted
-    second-moment matrix has an eigenvalue below MIN_GRAM_EIGENVALUE.
+    positive weight on this side, and SingularGramError when h^2 times the
+    weighted second-moment matrix (the Gram of the unit-free weights K(u))
+    has an eigenvalue below MIN_GRAM_EIGENVALUE.
     """
     y = np.asarray(y, dtype=float)
     n = len(column)
@@ -117,8 +118,9 @@ def fit_side(y, column: DistanceColumn, side: int, kernel: str, h: float, p: int
     B = scaled_basis(d / h, p)
     Bw = B * w[:, None]
     g = gram_from_design(B, Bw, n)
-    if g.min_eigenvalue < MIN_GRAM_EIGENVALUE:
-        raise SingularGramError(side, g.min_eigenvalue)
+    unit_free = h * h * g.min_eigenvalue
+    if unit_free < MIN_GRAM_EIGENVALUE:
+        raise SingularGramError(side, unit_free)
     rows = column.rows[idx]
     y = y[rows]
     s = Bw.T @ y / n

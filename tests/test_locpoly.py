@@ -314,21 +314,26 @@ class TestJointScaling:
 class TestSideFailure:
     """The checks of one order-q fit: per side, count before Gram; side 0 first."""
 
-    @pytest.mark.parametrize("counts,eigs,q,want", [
-        ((3, 3), (1.0, 1.0), 2, None),
-        ((3, 3), (MIN_GRAM_EIGENVALUE, 1.0), 2, None),
-        ((2, 3), (0.0, 1.0), 2, InsufficientDataError(0, 2, 3)),
-        ((3, 3), (1e-11, 0.0), 2, SingularGramError(0, 1e-11)),
-        ((3, 2), (1.0, 0.0), 2, InsufficientDataError(1, 2, 3)),
-        ((3, 3), (1.0, 1e-11), 2, SingularGramError(1, 1e-11)),
-        ((0, 0), (0.0, 0.0), 0, InsufficientDataError(0, 0, 1)),
-        ((1, 0), (0.0, 0.0), 0, SingularGramError(0, 0.0)),
-        ((1, 0), (1.0, 0.0), 0, InsufficientDataError(1, 0, 1)),
+    # The eigenvalues enter as h^2 lambda_min: at h = 1 as they are, at
+    # h = 1e3 a Gram eigenvalue of 1e-12 is 1e-6 unit-free and passes, and
+    # at h = 0.1 one of 1e-9 is 1e-11 and fails.
+    @pytest.mark.parametrize("counts,eigs,q,h,want", [
+        ((3, 3), (1.0, 1.0), 2, 1.0, None),
+        ((3, 3), (MIN_GRAM_EIGENVALUE, 1.0), 2, 1.0, None),
+        ((2, 3), (0.0, 1.0), 2, 1.0, InsufficientDataError(0, 2, 3)),
+        ((3, 3), (1e-11, 0.0), 2, 1.0, SingularGramError(0, 1e-11)),
+        ((3, 2), (1.0, 0.0), 2, 1.0, InsufficientDataError(1, 2, 3)),
+        ((3, 3), (1.0, 1e-11), 2, 1.0, SingularGramError(1, 1e-11)),
+        ((0, 0), (0.0, 0.0), 0, 1.0, InsufficientDataError(0, 0, 1)),
+        ((1, 0), (0.0, 0.0), 0, 1.0, SingularGramError(0, 0.0)),
+        ((1, 0), (1.0, 0.0), 0, 1.0, InsufficientDataError(1, 0, 1)),
+        ((3, 3), (1e-12, 1e-12), 2, 1e3, None),
+        ((3, 3), (1.0, 1e-9), 2, 0.1, SingularGramError(1, 0.1 * 0.1 * 1e-9)),
     ], ids=["pass", "eigenvalue-at-the-floor", "count-before-gram", "gram-0-before-side-1",
             "count-1", "gram-1", "side-0-before-side-1", "gram-0-before-count-1",
-            "count-1-order-0"])
-    def test_first_failure(self, counts, eigs, q, want):
-        got = side_failure(np.array(counts), np.array(eigs), q)
+            "count-1-order-0", "wide-h-scales-up", "narrow-h-scales-down"])
+    def test_first_failure(self, counts, eigs, q, h, want):
+        got = side_failure(np.array(counts), np.array(eigs), q, h)
         assert type(got) is type(want) and str(got) == str(want)
         if want is not None:
             assert got.side == want.side

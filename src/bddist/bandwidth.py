@@ -171,7 +171,7 @@ class _Side(NamedTuple):
 def _split_sides(sample) -> list:
     """Coordinates and outcomes of each side's rows, control first, each
     in sample order; the split does not depend on the point."""
-    return [(sample.x[rows], sample.y[rows])
+    return [(sample.x.take(rows, axis=0), sample.y.take(rows))
             for rows in (np.flatnonzero(~sample.treated), np.flatnonzero(sample.treated))]
 
 

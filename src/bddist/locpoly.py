@@ -179,7 +179,7 @@ def _support_rows(x, pt, radius) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _point_sides(sample, pt, kernel: str, h: float, p: int) -> list:
+def _side_designs(sample, pt, kernel: str, h: float, p: int) -> list:
     """``(rows, w, B)`` for side 0, then side 1, at one point: the side's
     positively weighted rows ascending, their kernel weights K(D/h)/h^2 and
     their scaled basis rows."""
@@ -200,11 +200,11 @@ def _fit_points(sample, points, kernel: str, hs, p: int) -> list:
     the point alone makes them: ``bandwidth_error``, then ``side_failure``.
     """
     out = [h if isinstance(h, BddistError) else bandwidth_error(h) for h in hs]
-    todo = [k for k, err in enumerate(out) if err is None]
+    todo = [(k, float(hs[k])) for k, err in enumerate(out) if err is None]
     if not todo:
         return out
     n = len(sample)
-    sides = [_point_sides(sample, points[k], kernel, float(hs[k]), p) for k in todo]
+    sides = [_side_designs(sample, points[k], kernel, h, p) for k, h in todo]
 
     # Every product runs on one side's rows alone: BLAS sums depend on the
     # operands' shapes, so a product over several sides would change the
@@ -218,10 +218,9 @@ def _fit_points(sample, points, kernel: str, hs, p: int) -> list:
     grams = 0.5 * (grams + np.swapaxes(grams, -1, -2))
     eigenvalues, eigenvectors = np.linalg.eigh(grams)
 
-    for j, k in enumerate(todo):
+    for j, (k, h) in enumerate(todo):
         point, sides[j] = sides[j], None  # a point's weights and basis die with its fit
         counts = [rows.size for rows, _, _ in point]
-        h = float(hs[k])
         out[k] = side_failure(counts, eigenvalues[j, :, 0], p, h)
         if out[k] is not None:
             continue

@@ -27,19 +27,16 @@ print(f"simultaneous critical value: {band.quantile:.3f} "
 
 print(f"{'point':>12} {'tau':>7} {'est':>7} {'se':>6} "
       f"{'95% CI':>17} {'95% band':>17}")
+tau = np.array([population_tau(spec, pt) for pt in grid.points])
+# Every point fits, so the band's arrays run over the whole grid.
 for k, (fit, se) in enumerate(zip(fits, surface.se)):
     ci = pointwise_ci(fit, se, 0.05)
-    bi = band.intervals[k]
-    tau = population_tau(spec, grid.points[k])
     b1, b2 = grid.points[k]
-    print(f"({b1:5.1f},{b2:5.1f}) {tau:7.3f} {fit.theta_hat:7.3f} "
+    print(f"({b1:5.1f},{b2:5.1f}) {tau[k]:7.3f} {fit.theta_hat:7.3f} "
           f"{se:6.3f} [{ci.lower:7.3f},{ci.upper:7.3f}] "
-          f"[{bi.lower:7.3f},{bi.upper:7.3f}]")
+          f"[{band.lower[k]:7.3f},{band.upper[k]:7.3f}]")
 
-inside_band = all(
-    bi.lower <= population_tau(spec, grid.points[k]) <= bi.upper
-    for k, bi in enumerate(band.intervals)
-)
+inside_band = bool(np.all((band.lower <= tau) & (tau <= band.upper)))
 print(f"\ntrue curve inside the band everywhere: {inside_band}")
 
 try:
@@ -49,7 +46,6 @@ try:
     import matplotlib.pyplot as plt
 
     arcs = grid.arclengths - grid.arclengths[len(grid.arclengths) // 2]
-    tau = np.array([population_tau(spec, pt) for pt in grid.points])
     est = np.array([f.theta_hat for f in fits])
     fig, ax = plt.subplots(figsize=(7, 4))
     ax.fill_between(arcs, band.lower, band.upper, alpha=0.25, label="95% band")

@@ -136,9 +136,9 @@ def run_estimate(cfg: argparse.Namespace) -> int:
                    cfg.seed)
 
     prec = cfg.precision
-    band_by_key = {}  # the band's intervals carry each fitted point's se
+    columns = iter(())  # each fitted point's se and band limits, in order
     if est.fitted:
-        band_by_key = dict(zip(est.fitted, est.band.intervals))
+        columns = zip(est.surface.se.tolist(), est.band.lower.tolist(), est.band.upper.tolist())
         if cfg.dump_cov:
             write_csv(cfg.dump_cov,
                       [f"x{j + 1}" for j in range(len(est.fitted))],
@@ -152,9 +152,9 @@ def run_estimate(cfg: argparse.Namespace) -> int:
         if isinstance(fit, BddistError):
             rows.append(row + [""] * 9 + [fit.code])
             continue
-        bi = band_by_key[k]
-        ci = pointwise_ci(fit, bi.se, est.alpha)
-        values = (fit.theta_hat, bi.se, ci.lower, ci.upper, bi.lower, bi.upper)
+        se, lower, upper = next(columns)
+        ci = pointwise_ci(fit, se, est.alpha)
+        values = (fit.theta_hat, se, ci.lower, ci.upper, lower, upper)
         rows.append(row + [format_number(fit.h, prec), str(fit.fit0.n_eff), str(fit.fit1.n_eff),
                            *(format_number(v, prec) for v in values), ""])
     write_csv(cfg.out if cfg.out else sys.stdout, header, rows)

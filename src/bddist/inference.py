@@ -134,18 +134,6 @@ class IntervalResult:
     upper: float
 
 
-def _interval(fit: PointFit, se: float, alpha: float, q: float) -> IntervalResult:
-    return IntervalResult(
-        eval_pt=fit.eval_pt,
-        theta_hat=fit.theta_hat,
-        se=se,
-        alpha=alpha,
-        quantile=q,
-        lower=fit.theta_hat - q * se,
-        upper=fit.theta_hat + q * se,
-    )
-
-
 def pointwise_ci(fit: PointFit, se: float, alpha: float = 0.05) -> IntervalResult:
     """Normal-quantile confidence interval at one evaluation point.
 
@@ -154,7 +142,9 @@ def pointwise_ci(fit: PointFit, se: float, alpha: float = 0.05) -> IntervalResul
     se = float(se)
     if not 0.0 < se < math.inf:
         raise InvalidInputError(f"standard error must be positive and finite, got {se}")
-    return _interval(fit, se, alpha, normal_quantile(alpha))
+    q = normal_quantile(alpha)
+    return IntervalResult(fit.eval_pt, fit.theta_hat, se, alpha, q,
+                          fit.theta_hat - q * se, fit.theta_hat + q * se)
 
 
 def _draw_maxima(factor: np.ndarray, num_draws: int, seed: int) -> np.ndarray:
@@ -232,32 +222,28 @@ def uniform_quantile(corr: np.ndarray, alpha: float, num_draws: int = DEFAULT_NU
 
 @dataclass(frozen=True)
 class BandResult:
-    """Uniform confidence band: per-point intervals sharing one critical value."""
+    """Uniform confidence band theta_hat +- quantile * se: one critical value
+    and the read-only ``lower`` and ``upper`` limits of the fitted points, in
+    the order of the fits it was built from."""
 
-    intervals: list
+    lower: np.ndarray
+    upper: np.ndarray
     quantile: float
     alpha: float
     num_draws: int
     seed: int
 
-    @property
-    def lower(self) -> np.ndarray:
-        return np.array([iv.lower for iv in self.intervals])
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.array([iv.upper for iv in self.intervals])
-
 
 def uniform_band(fits: list, surface: CovarianceSurface, alpha: float = 0.05,
                  num_draws: int = DEFAULT_NUM_DRAWS, seed: int = 0) -> BandResult:
-    """Simultaneous confidence band over all grid fits."""
+    """Simultaneous confidence band over all grid fits, from ``surface.se``."""
     if len(fits) != surface.corr.shape[0]:
         raise InvalidInputError("fits and surface have mismatched grid sizes")
     q = uniform_quantile(surface.corr, alpha, num_draws, seed, factor=surface.factor)
-    intervals = [_interval(fit, float(se), alpha, q)
-                 for fit, se in zip(fits, surface.se)]
-    return BandResult(intervals, q, alpha, num_draws, seed)
+    theta, width = np.array([fit.theta_hat for fit in fits]), q * surface.se
+    lower, upper = theta - width, theta + width
+    lower.flags.writeable = upper.flags.writeable = False
+    return BandResult(lower, upper, q, alpha, num_draws, seed)
 
 
 @dataclass(frozen=True)

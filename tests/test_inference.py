@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -15,6 +16,7 @@ from bddist.errors import BddistError, InvalidInputError, InvalidLevelError
 from bddist.geometry import BoundaryPolyline, QuadrantRule, make_grid
 from bddist.inference import (
     DRAW_BUFFER_BYTES,
+    BandResult,
     BoundaryLengthWarning,
     _draw_maxima,
     _ndtri,
@@ -256,15 +258,31 @@ class TestUniformBand:
         band = uniform_band(fits, surface, 0.05, num_draws=100000, seed=5)
         ci = pointwise_ci(fits[0], surface.se[0], 0.05)
         assert abs(band.quantile - ci.quantile) < 0.03
-        assert abs(band.intervals[0].lower - ci.lower) < 0.03 * surface.se[0]
+        assert abs(band.lower[0] - ci.lower) < 0.03 * surface.se[0]
 
     def test_band_wider_than_pointwise(self):
         fits, surface = grid_fits()
         band = uniform_band(fits, surface, 0.05, num_draws=20000, seed=6)
         assert band.quantile >= 1.96 - 0.02
-        for iv, fit, se in zip(band.intervals, fits, surface.se):
+        for lower, upper, fit, se in zip(band.lower, band.upper, fits, surface.se):
             ci = pointwise_ci(fit, se, 0.05)
-            assert iv.lower <= ci.lower and iv.upper >= ci.upper
+            assert lower <= ci.lower and upper >= ci.upper
+
+    def test_band_is_one_quantile_and_two_read_only_arrays(self, monkeypatch):
+        fits, surface = grid_fits()
+        monkeypatch.setattr(bddist.inference, "IntervalResult", None)  # builds none
+        band = uniform_band(fits, surface, 0.05, num_draws=2000, seed=6)
+        assert [f.name for f in dataclasses.fields(BandResult)] == [
+            "lower", "upper", "quantile", "alpha", "num_draws", "seed"]
+        for limits in (band.lower, band.upper):
+            assert limits.shape == (len(fits),) and not limits.flags.writeable
+            with pytest.raises(ValueError):
+                limits[0] = 0.0
+        # Each limit is theta_hat -+ q * se in float arithmetic, point by point.
+        q = band.quantile
+        for k, (fit, se) in enumerate(zip(fits, surface.se.tolist())):
+            assert same_bits(band.lower[k], fit.theta_hat - q * se)
+            assert same_bits(band.upper[k], fit.theta_hat + q * se)
 
     def test_identity_corr_strictly_above_normal(self):
         q = uniform_quantile(np.eye(21), 0.05, num_draws=50000, seed=7)

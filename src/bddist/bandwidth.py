@@ -9,6 +9,7 @@ bandwidth at the distance to the nearest kink, floored at the rule of thumb.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,9 +39,15 @@ def _point_cloud(points) -> np.ndarray:
 
 def coordinate_extent(points) -> float:
     """Largest per-coordinate range of a point cloud: a lower bound on its
-    diameter that takes one pass over the points and no hull."""
+    diameter that takes one pass over the points and no hull.  A non-finite
+    coordinate makes its column's range non-finite, and raises."""
     P = _point_cloud(points)
-    return max(float(P[:, j].max() - P[:, j].min()) for j in range(P.shape[1]))
+    # Column by column: a max over axis 0 of an (n, 2) array is far slower.
+    # np.max, unlike max, returns a NaN range wherever it sits.
+    extent = float(np.max([P[:, j].max() - P[:, j].min() for j in range(P.shape[1])]))
+    if not extent < math.inf:
+        raise InvalidInputError("point coordinates and their ranges must be finite")
+    return extent
 
 
 def _half_hull(points) -> list:
@@ -74,8 +81,11 @@ def data_diameter(points) -> float:
     point survives, the chain loops in Python over each one, and the pair
     pass is quadratic in them.  A hull of fewer than 3 vertices (a
     collinear cloud) gives the bounding-box diagonal, which is exact there.
+    A non-finite coordinate raises.
     """
     P = _point_cloud(points)
+    if not np.isfinite(P).all():
+        raise InvalidInputError("point coordinates must be finite")
     s, t = P[:, 0] + P[:, 1], P[:, 0] - P[:, 1]
     quad = P[[s.argmin(), t.argmax(), s.argmax(), t.argmin()]]
     inside = np.ones(len(P), dtype=bool)
@@ -110,12 +120,22 @@ def rot_scale(sample, polyline: BoundaryPolyline) -> float:
 
 
 def rot_bandwidth_from_scale(scale: float, c0: float, n: int, exponent: float = 0.25) -> float:
-    """Pure rule-of-thumb formula h = c0 * scale * n^{-exponent}."""
+    """Pure rule-of-thumb formula h = c0 * scale * n^{-exponent}, which must
+    be positive and finite: a NaN or infinite input, or an exponent whose
+    n^{-exponent} overflows or underflows to 0, raises."""
     if n < 2:
         raise InvalidInputError(f"need n >= 2, got {n}")
-    if scale <= 0.0 or c0 <= 0.0:
+    if not (scale > 0.0 and c0 > 0.0):
         raise InvalidInputError("scale and c0 must be positive")
-    return c0 * scale * float(n) ** (-exponent)
+    try:
+        h = c0 * scale * float(n) ** (-exponent)
+    except OverflowError:
+        h = math.inf
+    if not 0.0 < h < math.inf:
+        raise InvalidInputError(
+            f"rule-of-thumb bandwidth c0 * scale * n^(-exponent) = {h} is not positive "
+            f"and finite (c0 = {c0}, scale = {scale:.6g}, n = {n}, exponent = {exponent})")
+    return h
 
 
 def rot_bandwidth(sample, polyline: BoundaryPolyline, c0: float = 1.0,
@@ -330,7 +350,7 @@ def kink_adaptive_bandwidth(eval_pt, polyline: BoundaryPolyline, h_mse: float,
 
     With no marked kinks the pilot bandwidth is returned unchanged.
     """
-    if h_mse <= 0.0 or rot_h <= 0.0:
+    if not (h_mse > 0.0 and rot_h > 0.0):
         raise InvalidInputError("bandwidths must be positive")
     kinks = polyline.kink_points
     if len(kinks) == 0:
@@ -345,7 +365,7 @@ def univariate_rescale(h_1d: float, p: int, n: int) -> float:
     The univariate MSE rate n^{-1/(3+2p)} undershoots the correct
     n^{-1/(4+2p)}; the fix multiplies by n^{1/((3+2p)(4+2p))}.
     """
-    if h_1d <= 0.0:
+    if not h_1d > 0.0:
         raise InvalidInputError(f"h_1d must be positive, got {h_1d}")
     if n < 1 or p < 0:
         raise InvalidInputError("need n >= 1 and p >= 0")

@@ -164,7 +164,7 @@ def corner_example_theta(s: float, r: float) -> float:
     average 2 r / pi) and is truncated by the vertical arm for r > s, giving
     (r + s) / (pi - arccos(s / r)).
     """
-    if s < 0.0 or r <= 0.0:
+    if not (s >= 0.0 and r > 0.0):
         raise InvalidInputError("need s >= 0 and r > 0")
     if r <= s:
         return 2.0 * r / np.pi

@@ -89,6 +89,14 @@ class TestRuleOfThumb:
         with pytest.raises(InvalidInputError):
             rot_bandwidth(sample, pl)
 
+    @pytest.mark.parametrize("c0,exponent", [
+        (np.nan, 0.25), (np.inf, 0.25), (1.0, np.nan), (8.0, -400.0), (8.0, 400.0),
+        (1e300, -40.0),
+    ], ids=["c0-nan", "c0-inf", "exponent-nan", "overflow", "underflow", "product-inf"])
+    def test_h_must_be_positive_and_finite(self, c0, exponent):
+        with pytest.raises(InvalidInputError):
+            rot_bandwidth_from_scale(10.0, c0, 20000, exponent)
+
 
 class TestKinkAdaptive:
     PL = BoundaryPolyline.from_vertices([(0.0, 2.0), (0.0, 0.0), (2.0, 0.0)])
@@ -108,6 +116,11 @@ class TestKinkAdaptive:
     def test_no_kinks_returns_pilot(self):
         straight = BoundaryPolyline(np.array([[0.0, 0.0], [2.0, 0.0]]))
         assert kink_adaptive_bandwidth((0.5, 0.0), straight, 0.37, 0.1) == 0.37
+
+    @pytest.mark.parametrize("h_mse,rot_h", [(np.nan, 0.1), (0.5, np.nan)])
+    def test_nan_bandwidth_rejected(self, h_mse, rot_h):
+        with pytest.raises(InvalidInputError, match="bandwidths must be positive"):
+            kink_adaptive_bandwidth((0.3, 0.0), self.PL, h_mse, rot_h)
 
     def test_output_bounds(self):
         rng = np.random.default_rng(1)
@@ -129,6 +142,11 @@ class TestUnivariateRescale:
 
     def test_n_one_unchanged(self):
         assert univariate_rescale(0.8, 3, 1) == 0.8
+
+    @pytest.mark.parametrize("h_1d", [0.0, np.nan])
+    def test_nonpositive_or_nan_h_rejected(self, h_1d):
+        with pytest.raises(InvalidInputError, match="h_1d must be positive"):
+            univariate_rescale(h_1d, 1, 100)
 
 
 class TestMsePilot:
@@ -407,6 +425,16 @@ class TestResolve:
         with pytest.raises(InvalidBandwidthError):
             resolve_bandwidths(Fixed(50.0), sample, grid, "uniform", 1)
 
+    @pytest.mark.parametrize("rule", [KinkAdaptive(c0=np.nan), KinkAdaptive(c0=np.inf),
+                                      KinkAdaptive(exponent=np.nan)],
+                             ids=["c0-nan", "c0-inf", "exponent-nan"])
+    def test_kink_rule_with_non_finite_setting_raises(self, rule):
+        # A NaN floor would pass max(nan, d) to min(h_mse, nan) = h_mse: no cap.
+        sample = draw_sample(default_dgp(), 2000, 0)
+        grid = make_grid(default_dgp().boundary, 5)
+        with pytest.raises(InvalidInputError):
+            resolve_bandwidths(rule, sample, grid, "triangular", 1)
+
     def test_kink_adaptive_capped_by_pilot(self):
         rng = np.random.default_rng(10)
         sample = square_sample(rng, n=1500)
@@ -513,6 +541,17 @@ class TestDataDiameter:
     def test_non_planar_cloud_rejected(self):
         with pytest.raises(InvalidInputError, match=r"\(n, 2\) point cloud"):
             data_diameter(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("where", [(1, 0), (1, 1)], ids=["column0", "column1"])
+    @pytest.mark.parametrize("fn", [coordinate_extent, data_diameter])
+    def test_non_finite_coordinate_rejected(self, fn, where, bad):
+        # Python's max over the column ranges would drop a NaN range that
+        # comes second; the check must not depend on where the NaN sits.
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        pts[where] = bad
+        with pytest.raises(InvalidInputError, match="coordinates"):
+            fn(pts)
 
     @settings(max_examples=300, deadline=None)
     @given(pts=hull_clouds())

@@ -580,6 +580,29 @@ class TestBadInputs:
                               "InsufficientDataError in 3 (first: side ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("exponent", ["-400", "400"], ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("rule", ["rot", "kink"])
+    def test_rot_bandwidth_out_of_float_range_is_one_error(self, tmp_path, boundary_file,
+                                                           capsys, rule, exponent):
+        # n^{-exponent} overflows, or underflows to a zero bandwidth: the whole
+        # rule fails once, not with a traceback or one failure per point.
+        assert main(["estimate", "--data", write_dataset(tmp_path, n=200),
+                     "--boundary", boundary_file, "--grid-size", "3", "--bw-rule", rule,
+                     "--c0", "8", "--bw-exponent", exponent,
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rule-of-thumb bandwidth c0 * scale * n^(-exponent) = ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_simulate_rot_bandwidth_overflow_is_one_error(self, tmp_path, capsys):
+        assert main(["simulate", "--n", "400", "--reps", "2", "--c0", "8", "--grid-size", "3",
+                     "--bw-exponent", "-400", "--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: every replication failed; nothing to report: "
+                              "InvalidInputError in 2 (first: rule-of-thumb bandwidth ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv,content", [
         (["estimate", "--config", "{bad}"], '{"sigma0": 0.5,'),
         (["simulate", "--dgp", "{bad}"], '{"sigma0": 0.5,'),

@@ -117,6 +117,11 @@ class TestCornerExampleTheta:
     def test_small_radius_branch(self):
         assert_allclose(corner_example_theta(0.75, 0.3), 2 * 0.3 / np.pi)
 
+    @pytest.mark.parametrize("s,r", [(np.nan, 1.0), (0.5, np.nan), (-0.1, 1.0), (0.5, 0.0)])
+    def test_nan_or_out_of_range_rejected(self, s, r):
+        with pytest.raises(InvalidInputError, match="need s >= 0 and r > 0"):
+            corner_example_theta(s, r)
+
 
 class TestBiasFunctionals:
     def test_value_at_zero_closed_form(self):

@@ -16,7 +16,10 @@ import numpy as np
 from .errors import InvalidInputError
 from .formatting import read_json
 
-# Points within this distance of the boundary are assigned to treatment.
+# Points within this distance of the boundary are assigned to treatment, by
+# both assignment rules.  It is absolute, in coordinate units: beyond about
+# 8192 from the origin one ulp exceeds it, and a point computed on a polygon
+# edge there can miss the snap.
 BOUNDARY_TOL = 1e-12
 
 # Default turning angle (radians) above which an interior vertex is a kink.
@@ -158,7 +161,13 @@ class BoundaryPolyline:
         return self.vertices[idx] if idx else np.empty((0, 2))
 
     def point_at(self, s):
-        """Point(s) on the polyline at arc length(s) ``s`` from the start."""
+        """Point(s) on the polyline at arc length(s) ``s`` from the start.
+
+        Arc lengths up to 1e-9 outside [0, total_length] are clipped to it,
+        and any further out raise.  The slack is absolute, in coordinate
+        units: on a polyline longer than about 8.4e6, where one ulp of the
+        length exceeds it, a rounded arc length can miss it.
+        """
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s < -1e-9) or np.any(s > self.total_length + 1e-9):

@@ -28,12 +28,12 @@ print(f"simultaneous critical value: {band.quantile:.3f} "
 print(f"{'point':>12} {'tau':>7} {'est':>7} {'se':>6} "
       f"{'95% CI':>17} {'95% band':>17}")
 tau = np.array([population_tau(spec, pt) for pt in grid.points])
-# Every point fits, so the band's arrays run over the whole grid.
+# Every point fits, so the interval and band arrays run over the whole grid.
+ci_lower, ci_upper = pointwise_ci(fits, surface.se, 0.05)
 for k, (fit, se) in enumerate(zip(fits, surface.se)):
-    ci = pointwise_ci(fit, se, 0.05)
     b1, b2 = grid.points[k]
     print(f"({b1:5.1f},{b2:5.1f}) {tau[k]:7.3f} {fit.theta_hat:7.3f} "
-          f"{se:6.3f} [{ci.lower:7.3f},{ci.upper:7.3f}] "
+          f"{se:6.3f} [{ci_lower[k]:7.3f},{ci_upper[k]:7.3f}] "
           f"[{band.lower[k]:7.3f},{band.upper[k]:7.3f}]")
 
 inside_band = bool(np.all((band.lower <= tau) & (tau <= band.upper)))

@@ -61,7 +61,6 @@ from .inference import (
     BandResult,
     BoundaryLengthWarning,
     Estimate,
-    IntervalResult,
     estimate,
     normal_quantile,
     pointwise_ci,

@@ -136,9 +136,11 @@ def run_estimate(cfg: argparse.Namespace) -> int:
                    cfg.seed)
 
     prec = cfg.precision
-    columns = iter(())  # each fitted point's se and band limits, in order
+    columns = iter(())  # each fitted point's se, interval and band limits, in order
     if est.fitted:
-        columns = zip(est.surface.se.tolist(), est.band.lower.tolist(), est.band.upper.tolist())
+        se, band = est.surface.se, est.band
+        limits = (*pointwise_ci(est.fits, se, est.alpha), band.lower, band.upper)
+        columns = zip(se.tolist(), *(a.tolist() for a in limits))
         if cfg.dump_cov:
             write_csv(cfg.dump_cov,
                       [f"x{j + 1}" for j in range(len(est.fitted))],
@@ -152,9 +154,7 @@ def run_estimate(cfg: argparse.Namespace) -> int:
         if isinstance(fit, BddistError):
             rows.append(row + [""] * 9 + [fit.code])
             continue
-        se, lower, upper = next(columns)
-        ci = pointwise_ci(fit, se, est.alpha)
-        values = (fit.theta_hat, se, ci.lower, ci.upper, lower, upper)
+        values = (fit.theta_hat, *next(columns))
         rows.append(row + [format_number(fit.h, prec), str(fit.fit0.n_eff), str(fit.fit1.n_eff),
                            *(format_number(v, prec) for v in values), ""])
     write_csv(cfg.out if cfg.out else sys.stdout, header, rows)

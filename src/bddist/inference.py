@@ -121,30 +121,29 @@ def normal_quantile(alpha: float) -> float:
     return _ndtri(1.0 - alpha / 2.0)
 
 
-@dataclass(frozen=True)
-class IntervalResult:
-    """One confidence interval: theta_hat +- quantile * se."""
-
-    eval_pt: np.ndarray
-    theta_hat: float
-    se: float
-    alpha: float
-    quantile: float
-    lower: float
-    upper: float
+def _limits(fits: list, q: float, se: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only theta_hat - q * se and theta_hat + q * se over ``fits``."""
+    theta, width = np.array([fit.theta_hat for fit in fits]), q * se
+    lower, upper = theta - width, theta + width
+    lower.flags.writeable = upper.flags.writeable = False
+    return lower, upper
 
 
-def pointwise_ci(fit: PointFit, se: float, alpha: float = 0.05) -> IntervalResult:
-    """Normal-quantile confidence interval at one evaluation point.
+def pointwise_ci(fits: list, se, alpha: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
+    """Normal-quantile confidence intervals theta_hat -+ normal_quantile(alpha) * se:
+    read-only ``(lower, upper)`` arrays over ``fits``, in their order.
 
-    ``se`` is the point's standard error, e.g. ``surface.se[k]``.
+    ``se`` holds one standard error per fit, e.g. ``surface.se``.
     """
-    se = float(se)
-    if not 0.0 < se < math.inf:
-        raise InvalidInputError(f"standard error must be positive and finite, got {se}")
-    q = normal_quantile(alpha)
-    return IntervalResult(fit.eval_pt, fit.theta_hat, se, alpha, q,
-                          fit.theta_hat - q * se, fit.theta_hat + q * se)
+    se = np.asarray(se, dtype=float)
+    if se.shape != (len(fits),):
+        raise InvalidInputError(f"need one standard error per fit ({len(fits)}), "
+                                f"got shape {se.shape}")
+    bad = ~((se > 0.0) & (se < math.inf))
+    if bad.any():
+        raise InvalidInputError(
+            f"standard error must be positive and finite, got {float(se[bad][0])}")
+    return _limits(fits, normal_quantile(alpha), se)
 
 
 def _draw_maxima(factor: np.ndarray, num_draws: int, seed: int) -> np.ndarray:
@@ -240,10 +239,7 @@ def uniform_band(fits: list, surface: CovarianceSurface, alpha: float = 0.05,
     if len(fits) != surface.corr.shape[0]:
         raise InvalidInputError("fits and surface have mismatched grid sizes")
     q = uniform_quantile(surface.corr, alpha, num_draws, seed, factor=surface.factor)
-    theta, width = np.array([fit.theta_hat for fit in fits]), q * surface.se
-    lower, upper = theta - width, theta + width
-    lower.flags.writeable = upper.flags.writeable = False
-    return BandResult(lower, upper, q, alpha, num_draws, seed)
+    return BandResult(*_limits(fits, q, surface.se), q, alpha, num_draws, seed)
 
 
 @dataclass(frozen=True)

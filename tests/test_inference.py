@@ -107,24 +107,47 @@ class TestPointwiseCI:
     def test_interval_arithmetic(self):
         fit = fitted_point()
         # theta_hat +- 1.959964 * 0.5 around the point estimate
-        iv = pointwise_ci(fit, 0.5, 0.05)
-        assert_allclose(iv.upper - iv.lower, 2 * 1.959964 * 0.5, atol=1e-5)
-        assert_allclose(iv.lower, fit.theta_hat - 1.959964 * 0.5, atol=1e-5)
-        assert iv.lower <= iv.upper
+        (lower,), (upper,) = pointwise_ci([fit], [0.5], 0.05)
+        assert_allclose(upper - lower, 2 * 1.959964 * 0.5, atol=1e-5)
+        assert_allclose(lower, fit.theta_hat - 1.959964 * 0.5, atol=1e-5)
+        assert lower <= upper
 
     def test_worked_numbers(self):
         # theta = 2, se = 0.5, alpha = 0.05 -> [1.020, 2.980]
         fit = fitted_point()
-        iv = pointwise_ci(fit, 0.5, 0.05)
+        (lower,), (upper,) = pointwise_ci([fit], [0.5], 0.05)
         shift = fit.theta_hat - 2.0
-        assert_allclose(iv.lower - shift, 1.020018, atol=1e-5)
-        assert_allclose(iv.upper - shift, 2.979982, atol=1e-5)
+        assert_allclose(lower - shift, 1.020018, atol=1e-5)
+        assert_allclose(upper - shift, 2.979982, atol=1e-5)
 
     def test_unset_variance_rejected(self):
         fit = fitted_point()
         for se in (0.0, -0.5, math.nan, math.inf):
             with pytest.raises(InvalidInputError):
-                pointwise_ci(fit, se, 0.05)
+                pointwise_ci([fit], [se], 0.05)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.01])
+    def test_two_read_only_arrays_of_theta_hat_minus_plus_q_se(self, alpha):
+        fits, surface = grid_fits()
+        se = surface.se
+        lower, upper = pointwise_ci(fits, se, alpha)
+        for limits in (lower, upper):
+            assert limits.shape == (len(fits),) and not limits.flags.writeable
+            with pytest.raises(ValueError):
+                limits[0] = 0.0
+        # Each limit is theta_hat -+ q * se in float arithmetic, point by point.
+        q = normal_quantile(alpha)
+        for k, (fit, s) in enumerate(zip(fits, se.tolist())):
+            assert same_bits(lower[k], fit.theta_hat - q * s)
+            assert same_bits(upper[k], fit.theta_hat + q * s)
+        for short in (se[:-1], np.append(se, 1.0), se[None, :]):
+            with pytest.raises(InvalidInputError, match="one standard error per fit"):
+                pointwise_ci(fits, short, alpha)
+        for value, name in ((0.0, "0.0"), (-0.5, "-0.5"), (math.nan, "nan"), (math.inf, "inf")):
+            bad = se.copy()
+            bad[2] = value
+            with pytest.raises(InvalidInputError, match=f"finite, got {name}$"):
+                pointwise_ci(fits, bad, alpha)
 
 
 def ar1_correlation(M):
@@ -256,21 +279,21 @@ class TestUniformBand:
     def test_single_point_band_equals_pointwise(self):
         fits, surface = grid_fits(M=1)
         band = uniform_band(fits, surface, 0.05, num_draws=100000, seed=5)
-        ci = pointwise_ci(fits[0], surface.se[0], 0.05)
-        assert abs(band.quantile - ci.quantile) < 0.03
-        assert abs(band.lower[0] - ci.lower) < 0.03 * surface.se[0]
+        (ci_lower,), _ = pointwise_ci(fits, surface.se, 0.05)
+        assert abs(band.quantile - normal_quantile(0.05)) < 0.03
+        assert abs(band.lower[0] - ci_lower) < 0.03 * surface.se[0]
 
     def test_band_wider_than_pointwise(self):
         fits, surface = grid_fits()
         band = uniform_band(fits, surface, 0.05, num_draws=20000, seed=6)
         assert band.quantile >= 1.96 - 0.02
-        for lower, upper, fit, se in zip(band.lower, band.upper, fits, surface.se):
-            ci = pointwise_ci(fit, se, 0.05)
-            assert lower <= ci.lower and upper >= ci.upper
+        ci_lower, ci_upper = pointwise_ci(fits, surface.se, 0.05)
+        for lower, upper, ci_lo, ci_up in zip(band.lower, band.upper, ci_lower, ci_upper):
+            assert lower <= ci_lo and upper >= ci_up
 
-    def test_band_is_one_quantile_and_two_read_only_arrays(self, monkeypatch):
+    def test_band_is_one_quantile_and_two_read_only_arrays(self):
         fits, surface = grid_fits()
-        monkeypatch.setattr(bddist.inference, "IntervalResult", None)  # builds none
+        assert not hasattr(bddist.inference, "IntervalResult")
         band = uniform_band(fits, surface, 0.05, num_draws=2000, seed=6)
         assert [f.name for f in dataclasses.fields(BandResult)] == [
             "lower", "upper", "quantile", "alpha", "num_draws", "seed"]

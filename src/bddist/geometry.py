@@ -9,6 +9,7 @@ to the treatment region.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,15 @@ def _as_points(P) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InvalidInputError("point array has non-finite coordinates")
     return arr
+
+
+def _kink_index(k) -> int:
+    """A vertex index given as an integer or an integral float; a bool, a
+    string or a fractional value raises."""
+    if isinstance(k, bool) or not (isinstance(k, numbers.Integral)
+                                   or isinstance(k, float) and k.is_integer()):
+        raise InvalidInputError(f"kink index {k!r} is not an integer")
+    return int(k)
 
 
 def row_blocks(n: int) -> list:
@@ -134,13 +144,14 @@ class BoundaryPolyline:
         cum = np.concatenate([[0.0], np.cumsum(lengths)])
         if not np.isfinite(cum[-1]) or cum[-1] <= 0.0:
             raise InvalidInputError("polyline must have positive finite length")
-        for k in self.kink_indices:
-            if not 0 < int(k) < len(V) - 1:
+        kinks = frozenset(_kink_index(k) for k in self.kink_indices)
+        for k in kinks:
+            if not 0 < k < len(V) - 1:
                 raise InvalidInputError(f"kink index {k} is not an interior vertex")
         V.setflags(write=False)
         cum.setflags(write=False)
         object.__setattr__(self, "vertices", V)
-        object.__setattr__(self, "kink_indices", frozenset(int(k) for k in self.kink_indices))
+        object.__setattr__(self, "kink_indices", kinks)
         object.__setattr__(self, "cumulative_arclength", cum)
 
     @classmethod
@@ -148,7 +159,7 @@ class BoundaryPolyline:
         """Build a polyline, auto-detecting kinks when none are given."""
         if kinks is None:
             kinks = detect_kinks(vertices, angle_tol)
-        return cls(np.asarray(vertices, dtype=float), frozenset(kinks))
+        return cls(np.asarray(vertices, dtype=float), tuple(kinks))
 
     @property
     def total_length(self) -> float:
@@ -378,6 +389,15 @@ def make_grid(polyline: BoundaryPolyline, M: int) -> EvalGrid:
 # Boundary spec files
 # ---------------------------------------------------------------------------
 
+def _spec_points(value, key: str) -> np.ndarray:
+    """The float array of the boundary spec's point list under ``key``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"boundary spec {key!r} is not an array of numbers "
+                                f"({exc})") from None
+
+
 def load_boundary(source) -> tuple[BoundaryPolyline, AssignmentRule]:
     """Load a boundary spec from a JSON file path or an already-parsed dict.
 
@@ -389,6 +409,10 @@ def load_boundary(source) -> tuple[BoundaryPolyline, AssignmentRule]:
           "assignment": {"quadrant": {"x1_sign": "+|-", "x2_sign": "+|-"}}
                         or {"polygon": [[x, y], ...]}
         }
+
+    Any other shape, such as a string in place of an object or an array, a
+    coordinate that is not a number or a kink index that is not an integer,
+    raises InvalidInputError.
     """
     spec = source if isinstance(source, dict) else read_json(source)
     try:
@@ -397,14 +421,19 @@ def load_boundary(source) -> tuple[BoundaryPolyline, AssignmentRule]:
     except KeyError as exc:
         raise InvalidInputError(f"boundary spec missing key {exc}") from None
     kinks = spec.get("kinks")
-    polyline = BoundaryPolyline.from_vertices(
-        vertices, kinks=frozenset(kinks) if kinks is not None else None
-    )
+    if kinks is not None and not isinstance(kinks, list):
+        raise InvalidInputError(f"boundary spec 'kinks' must be an array, got {kinks!r}")
+    polyline = BoundaryPolyline.from_vertices(_spec_points(vertices, "vertices"), kinks=kinks)
+    if not isinstance(assignment, dict):
+        raise InvalidInputError(f"boundary spec 'assignment' must be an object, "
+                                f"got {assignment!r}")
     if "quadrant" in assignment:
         q = assignment["quadrant"]
+        if not isinstance(q, dict):
+            raise InvalidInputError(f"boundary spec 'quadrant' must be an object, got {q!r}")
         rule = QuadrantRule(q.get("x1_sign", "+"), q.get("x2_sign", "+"))
     elif "polygon" in assignment:
-        rule = PolygonRule(np.asarray(assignment["polygon"], dtype=float))
+        rule = PolygonRule(_spec_points(assignment["polygon"], "polygon"))
     else:
         raise InvalidInputError("assignment must specify 'quadrant' or 'polygon'")
     return polyline, rule

@@ -104,6 +104,14 @@ class TestPolyline:
     def test_kink_index_must_be_interior(self):
         with pytest.raises(InvalidInputError):
             BoundaryPolyline(np.array([[0.0, 0.0], [1.0, 0.0]]), frozenset({0}))
+        # Vertex 1 is interior here, so only the index's type is at fault.
+        V = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
+        for k in (1.5, True, "1"):
+            with pytest.raises(InvalidInputError, match="is not an integer"):
+                BoundaryPolyline.from_vertices(V, kinks={k})
+            with pytest.raises(InvalidInputError, match="is not an integer"):
+                BoundaryPolyline(np.array(V), frozenset({k}))
+        assert BoundaryPolyline.from_vertices(V, kinks=[1.0, np.int64(1)]).kink_indices == {1}
 
     def test_arclength_strictly_increasing(self):
         pl = l_shape()
@@ -291,3 +299,26 @@ class TestBoundaryFile:
     def test_missing_key(self):
         with pytest.raises(InvalidInputError):
             load_boundary({"vertices": [[0, 0], [1, 0]]})
+
+    @pytest.mark.parametrize("change,message", [
+        ({"assignment": "quadrant"}, "'assignment' must be an object"),
+        ({"assignment": ["quadrant"]}, "'assignment' must be an object"),
+        ({"assignment": {"quadrant": 5}}, "'quadrant' must be an object"),
+        ({"kinks": 5}, "'kinks' must be an array"),
+        ({"kinks": ["a"]}, "kink index 'a' is not an integer"),
+        ({"kinks": [1.5]}, "kink index 1.5 is not an integer"),
+        ({"kinks": [True]}, "kink index True is not an integer"),
+        ({"kinks": [[1]]}, r"kink index \[1\] is not an integer"),
+        ({"vertices": [[0, 30], [0, "a"], [30, 0]]}, "'vertices' is not an array of numbers"),
+        ({"vertices": {"a": 1}}, "'vertices' is not an array of numbers"),
+        ({"vertices": [[0, 30], [0, 10 ** 400]]}, "'vertices' is not an array of numbers"),
+        ({"assignment": {"polygon": "abc"}}, "'polygon' is not an array of numbers"),
+        ({"assignment": {"polygon": [[0, 0], [1]]}}, "'polygon' is not an array of numbers"),
+    ], ids=["assignment-string", "assignment-list", "quadrant-number", "kinks-number",
+            "kinks-string", "kinks-fraction", "kinks-bool", "kinks-list", "vertex-string",
+            "vertices-object", "vertex-overflow", "polygon-string", "polygon-ragged"])
+    def test_malformed_spec_is_an_input_error(self, change, message):
+        spec = {"vertices": [[0, 30], [0, 0], [30, 0]], "assignment": {"quadrant": {}},
+                **change}
+        with pytest.raises(InvalidInputError, match=message):
+            load_boundary(spec)

@@ -119,6 +119,14 @@ def rot_scale(sample, polyline: BoundaryPolyline) -> float:
     return c
 
 
+def rot_rate(n: int, exponent: float) -> float:
+    """The rule of thumb's n^{-exponent}, inf where it overflows."""
+    try:
+        return float(n) ** (-exponent)
+    except OverflowError:
+        return math.inf
+
+
 def rot_bandwidth_from_scale(scale: float, c0: float, n: int, exponent: float = 0.25) -> float:
     """Pure rule-of-thumb formula h = c0 * scale * n^{-exponent}, which must
     be positive and finite: a NaN or infinite input, or an exponent whose
@@ -127,10 +135,7 @@ def rot_bandwidth_from_scale(scale: float, c0: float, n: int, exponent: float = 
         raise InvalidInputError(f"need n >= 2, got {n}")
     if not (scale > 0.0 and c0 > 0.0):
         raise InvalidInputError("scale and c0 must be positive")
-    try:
-        h = c0 * scale * float(n) ** (-exponent)
-    except OverflowError:
-        h = math.inf
+    h = c0 * scale * rot_rate(n, exponent)
     if not 0.0 < h < math.inf:
         raise InvalidInputError(
             f"rule-of-thumb bandwidth c0 * scale * n^(-exponent) = {h} is not positive "

@@ -24,10 +24,11 @@ from .data import Sample
 from .errors import BddistError, DataParseError, DataSchemaError, InvalidInputError
 from .formatting import format_number, open_text, read_json, write_csv
 from .geometry import load_boundary, make_grid
-from .inference import estimate, pointwise_ci
-from .kernels import FAMILIES
+from .inference import DEFAULT_NUM_DRAWS, estimate, pointwise_ci
+from .kernels import DEFAULT_KERNEL, FAMILIES
 from .oracle import fixed_h_bias
-from .simulation import DgpSpec, default_dgp, describe_failures, run_monte_carlo
+from .simulation import (DEFAULT_GRID_SIZE, DgpSpec, default_dgp, describe_failures,
+                         run_monte_carlo)
 
 
 _COLUMNS = ("y", "x1", "x2")
@@ -234,7 +235,7 @@ _RUNS = {"estimate": run_estimate, "simulate": run_simulate, "bias-oracle": run_
 def _add_common(sp):
     sp.add_argument("--config", help="JSON file mirroring the flags; flags win")
     sp.add_argument("--p", type=int, default=1)
-    sp.add_argument("--kernel", choices=FAMILIES, default="triangular")
+    sp.add_argument("--kernel", choices=FAMILIES, default=DEFAULT_KERNEL)
     sp.add_argument("--out")
     sp.add_argument("--precision", choices=("human", "full"), default="human")
 
@@ -244,12 +245,12 @@ def _add_pipeline(sp):
     _add_common(sp)
     sp.add_argument("--h", type=float)
     sp.add_argument("--boundary", help="boundary spec JSON file")
-    sp.add_argument("--grid-size", type=int, default=21)
+    sp.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--bw-rule", choices=("fixed", "rot", "mse", "kink"), default="rot")
     sp.add_argument("--c0", type=float, default=1.0)
     sp.add_argument("--bw-exponent", type=float, default=0.25)
-    sp.add_argument("--band-draws", type=int, default=10000)
+    sp.add_argument("--band-draws", type=int, default=DEFAULT_NUM_DRAWS)
     sp.add_argument("--seed", type=int, default=0)
 
 
@@ -332,6 +333,11 @@ def build_config(argv=None) -> argparse.Namespace:
             raise InvalidInputError(f"c0 must be positive and finite, got {cfg.c0}")
         if not math.isfinite(cfg.bw_exponent):
             raise InvalidInputError(f"bw-exponent must be finite, got {cfg.bw_exponent}")
+        if cfg.command == "simulate":  # estimate's n is known once the data is read
+            rate = bw.rot_rate(cfg.n, cfg.bw_exponent)
+            if not 0.0 < rate < math.inf:
+                raise InvalidInputError(f"rule-of-thumb n^(-bw-exponent) = {rate} is not positive "
+                                        f"and finite (n = {cfg.n}, bw-exponent = {cfg.bw_exponent})")
     cfg.bw_rule = _bandwidth_rule(cfg)
     return cfg
 

@@ -41,8 +41,6 @@ def format_number(x, precision: str = "human") -> str:
     ``precision`` is "human" (6 significant digits) or "full" (repr, which
     round-trips exactly).
     """
-    if x is None:
-        return ""
     x = float(x)
     if precision == "human":
         return f"{x:.6g}"

@@ -544,8 +544,20 @@ class TestBadInputs:
          "{dgp}: invalid DGP override (sigma1 must be finite, got inf)"),
         (["--dgp", '{"beta_params": [3, NaN]}'],
          "{dgp}: invalid DGP override (Beta parameters must be positive and finite)"),
+        (["--bw-exponent", "-400"], "rule-of-thumb n^(-bw-exponent) = inf is not positive "
+                                    "and finite (n = 300, bw-exponent = -400.0)"),
+        (["--bw-exponent", "400"], "rule-of-thumb n^(-bw-exponent) = 0.0 is not positive "
+                                   "and finite (n = 300, bw-exponent = 400.0)"),
+        (["--bw-rule", "kink", "--bw-exponent", "-400"],
+         "rule-of-thumb n^(-bw-exponent) = inf is not positive and finite (n = 300, "
+         "bw-exponent = -400.0)"),
+        (["--bw-rule", "kink", "--bw-exponent", "400"],
+         "rule-of-thumb n^(-bw-exponent) = 0.0 is not positive and finite (n = 300, "
+         "bw-exponent = 400.0)"),
     ], ids=["n=1", "n=0", "reps=0", "reps=-2", "dgp-boundary", "dgp-assignment",
-            "dgp-score-scale", "dgp-score-scale-zero", "dgp-sigma-inf", "dgp-beta-nan"])
+            "dgp-score-scale", "dgp-score-scale-zero", "dgp-sigma-inf", "dgp-beta-nan",
+            "rot-exponent=-400", "rot-exponent=400", "kink-exponent=-400",
+            "kink-exponent=400"])
     def test_simulate_setting_fails_before_any_replication(self, tmp_path, capsys,
                                                            monkeypatch, setting, message):
         def no_run(*args, **kwargs):
@@ -599,9 +611,47 @@ class TestBadInputs:
         assert main(["simulate", "--n", "400", "--reps", "2", "--c0", "8", "--grid-size", "3",
                      "--bw-exponent", "-400", "--out", str(tmp_path / "out.csv")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: every replication failed; nothing to report: "
-                              "InvalidInputError in 2 (first: rule-of-thumb bandwidth ")
+        assert err.startswith("error: rule-of-thumb n^(-bw-exponent) = inf is not positive "
+                              "and finite (n = 400, bw-exponent = -400.0)")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("change,message", [
+        ({"assignment": "quadrant"}, "boundary spec 'assignment' must be an object, "
+                                     "got 'quadrant'"),
+        ({"assignment": ["quadrant"]}, "boundary spec 'assignment' must be an object, "
+                                       "got ['quadrant']"),
+        ({"assignment": {"quadrant": 5}}, "boundary spec 'quadrant' must be an object, got 5"),
+        ({"kinks": 5}, "boundary spec 'kinks' must be an array, got 5"),
+        ({"kinks": ["a"]}, "kink index 'a' is not an integer"),
+        ({"kinks": [1.5]}, "kink index 1.5 is not an integer"),
+        ({"kinks": [True]}, "kink index True is not an integer"),
+        ({"vertices": [[0, 30], [0, "a"], [30, 0]]},
+         "boundary spec 'vertices' is not an array of numbers "
+         "(could not convert string to float: 'a')"),
+        ({"assignment": {"polygon": "abc"}}, "boundary spec 'polygon' is not an array of "
+                                             "numbers (could not convert string to float: 'abc')"),
+        ({"assignment": {"polygon": [[0, 0], [1]]}},
+         "boundary spec 'polygon' is not an array of numbers (setting an array element"),
+    ], ids=["assignment-string", "assignment-list", "quadrant-number", "kinks-number",
+            "kinks-string", "kinks-fraction", "kinks-bool", "vertex-string", "polygon-string",
+            "polygon-ragged"])
+    @pytest.mark.parametrize("command", ["estimate", "simulate"])
+    def test_malformed_boundary_file_is_one_error_line(self, tmp_path, capsys, command,
+                                                       change, message):
+        spec = {"vertices": [[0, 30], [0, 0], [30, 0]], "assignment": {"quadrant": {}},
+                **change}
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps(spec))
+        if command == "estimate":
+            argv = ["estimate", "--data", write_dataset(tmp_path, n=200)]
+        else:
+            argv = ["simulate", "--n", "300", "--reps", "1"]
+        assert main([*argv, "--boundary", str(path), "--c0", "8", "--grid-size", "3",
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and err.count("error: ") == 1
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("argv,content", [
         (["estimate", "--config", "{bad}"], '{"sigma0": 0.5,'),

@@ -139,10 +139,9 @@ def pointwise_ci(fits: list, se, alpha: float = 0.05) -> tuple[np.ndarray, np.nd
     if se.shape != (len(fits),):
         raise InvalidInputError(f"need one standard error per fit ({len(fits)}), "
                                 f"got shape {se.shape}")
-    bad = ~((se > 0.0) & (se < math.inf))
-    if bad.any():
-        raise InvalidInputError(
-            f"standard error must be positive and finite, got {float(se[bad][0])}")
+    bad = se[~((se > 0.0) & (se < math.inf))]  # NaN fails both comparisons
+    if bad.size:
+        raise InvalidInputError(f"standard error must be positive and finite, got {bad[0]}")
     return _limits(fits, normal_quantile(alpha), se)
 
 

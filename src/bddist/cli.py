@@ -22,7 +22,7 @@ import numpy as np
 from . import bandwidth as bw
 from .data import Sample
 from .errors import BddistError, DataParseError, DataSchemaError, InvalidInputError
-from .formatting import format_number, open_text, read_json, write_csv
+from .formatting import open_text, read_json, write_csv
 from .geometry import load_boundary, make_grid
 from .inference import DEFAULT_NUM_DRAWS, estimate, pointwise_ci
 from .kernels import DEFAULT_KERNEL, FAMILIES
@@ -136,29 +136,23 @@ def run_estimate(cfg: argparse.Namespace) -> int:
     est = estimate(sample, grid, cfg.bw_rule, cfg.kernel, cfg.p, cfg.alpha, cfg.band_draws,
                    cfg.seed)
 
-    prec = cfg.precision
-    columns = iter(())  # each fitted point's se, interval and band limits, in order
+    rows = [[k + 1, *b] for k, b in enumerate(grid.points)]
+    for k, fit in enumerate(est.points):
+        if isinstance(fit, BddistError):
+            rows[k] += [None] * 9 + [fit.code]
     if est.fitted:
         se, band = est.surface.se, est.band
-        limits = (*pointwise_ci(est.fits, se, est.alpha), band.lower, band.upper)
-        columns = zip(se.tolist(), *(a.tolist() for a in limits))
+        columns = zip(est.fitted, est.fits, se, *pointwise_ci(est.fits, se, est.alpha),
+                      band.lower, band.upper)
+        for k, fit, *values in columns:
+            rows[k] += [fit.h, fit.fit0.n_eff, fit.fit1.n_eff, fit.theta_hat, *values, None]
         if cfg.dump_cov:
-            write_csv(cfg.dump_cov,
-                      [f"x{j + 1}" for j in range(len(est.fitted))],
-                      [[format_number(v, prec) for v in row] for row in est.surface.xi])
+            write_csv(cfg.dump_cov, [f"x{j + 1}" for j in range(len(est.fitted))],
+                      est.surface.xi, cfg.precision)
 
     header = ["point_id", "b1", "b2", "h", "n_eff_0", "n_eff_1", "theta_hat",
               "se", "ci_lower", "ci_upper", "band_lower", "band_upper", "error"]
-    rows = []
-    for k, fit in enumerate(est.points):
-        row = [str(k + 1), *(format_number(b, prec) for b in grid.points[k])]
-        if isinstance(fit, BddistError):
-            rows.append(row + [""] * 9 + [fit.code])
-            continue
-        values = (fit.theta_hat, *next(columns))
-        rows.append(row + [format_number(fit.h, prec), str(fit.fit0.n_eff), str(fit.fit1.n_eff),
-                           *(format_number(v, prec) for v in values), ""])
-    write_csv(cfg.out if cfg.out else sys.stdout, header, rows)
+    write_csv(cfg.out if cfg.out else sys.stdout, header, rows, cfg.precision)
     failed = grid.count - len(est.fitted)
     if est.fitted and failed:
         print(f"warning: uniform band covers {len(est.fitted)} of {grid.count} grid points",
@@ -218,10 +212,8 @@ def _parse_s_grid(text: str) -> np.ndarray:
 def run_bias_oracle(cfg: argparse.Namespace) -> int:
     """Exact fixed-h bias values on a grid of kink distances, as CSV."""
     s_values = _parse_s_grid(cfg.s_grid).tolist()
-    rows = [[format_number(s, cfg.precision),
-             format_number(fixed_h_bias(cfg.kernel, cfg.p, cfg.h, s), cfg.precision)]
-            for s in s_values]
-    write_csv(cfg.out if cfg.out else sys.stdout, ["s", "bias"], rows)
+    rows = [[s, fixed_h_bias(cfg.kernel, cfg.p, cfg.h, s)] for s in s_values]
+    write_csv(cfg.out if cfg.out else sys.stdout, ["s", "bias"], rows, cfg.precision)
     return 0
 
 

@@ -1,9 +1,11 @@
-"""Number formatting and file helpers shared by report writers and the CLI."""
+"""The report writer and the file helpers shared by the CLI and the harness."""
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+
+import numpy as np
 
 from .errors import InvalidInputError
 
@@ -35,24 +37,23 @@ def read_json(path) -> dict:
     return value
 
 
-def format_number(x, precision: str = "human") -> str:
-    """Format a float with 6 significant digits, or shortest-roundtrip repr.
+def write_csv(path, header, rows, precision: str = "human"):
+    """Write a header line and rows of values, one cell per value.
 
-    ``precision`` is "human" (6 significant digits) or "full" (repr, which
-    round-trips exactly).
+    A float (numpy's included) is written with 6 significant digits under
+    ``precision`` "human" or as its repr, which round-trips exactly, under
+    "full"; ``None`` is an empty cell, and any other value is ``str(value)``.
     """
-    x = float(x)
-    if precision == "human":
-        return f"{x:.6g}"
-    if precision == "full":
-        return repr(x)
-    raise InvalidInputError(f"precision must be 'human' or 'full', got {precision!r}")
+    if precision not in ("human", "full"):
+        raise InvalidInputError(f"precision must be 'human' or 'full', got {precision!r}")
 
+    def cell(v):
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v)) if precision == "full" else f"{float(v):.6g}"
+        return "" if v is None else str(v)
 
-def write_csv(path, header, rows):
-    """Write rows of already-formatted strings with a header line."""
     lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
+    lines += [",".join(map(cell, row)) for row in rows]
     text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):
         path.write(text)

@@ -11,14 +11,14 @@ master seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .bandwidth import RuleOfThumb
 from .data import Sample
 from .errors import BddistError, InvalidInputError
-from .formatting import format_number, write_csv
+from .formatting import write_csv
 from .geometry import BoundaryPolyline, EvalGrid, QuadrantRule, make_grid
 from .inference import DEFAULT_NUM_DRAWS, estimate, normal_quantile
 from .kernels import DEFAULT_KERNEL
@@ -213,24 +213,10 @@ class McReport:
     band_covered: np.ndarray   # (reps_used, M) band coverage indicators
 
     def to_csv(self, path, precision: str = "human"):
-        header = ["point_id", "b1", "b2", "h", "bias", "sd", "rmse", "ec", "il"]
-        rows = []
-        for r in self.rows:
-            rows.append([
-                str(r.point_id),
-                format_number(r.b1, precision),
-                format_number(r.b2, precision),
-                format_number(r.h, precision),
-                format_number(r.bias, precision),
-                format_number(r.sd, precision),
-                format_number(r.rmse, precision),
-                format_number(r.ec, precision),
-                format_number(r.il, precision),
-            ])
-        rows.append(["uniform", "", "", "", "", "", "",
-                     format_number(self.uniform_ec, precision),
-                     format_number(self.uniform_il, precision)])
-        write_csv(path, header, rows)
+        header = [f.name for f in fields(McPointRow)]
+        rows = [astuple(r) for r in self.rows]
+        rows.append(["uniform", *[None] * 6, self.uniform_ec, self.uniform_il])
+        write_csv(path, header, rows, precision)
 
 
 def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = None,

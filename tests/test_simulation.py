@@ -1,14 +1,17 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bddist import simulation
 from bddist.bandwidth import Fixed, RuleOfThumb
 from bddist.errors import InvalidInputError
 from bddist.geometry import make_grid
 from bddist.simulation import (
     DgpSpec,
+    McPointRow,
     beta_variates,
     default_dgp,
     draw_sample,
@@ -220,6 +223,20 @@ class TestMonteCarlo:
         # Full precision round-trips to at least 12 significant digits.
         row1 = lines[1].split(",")
         assert float(row1[4]) == report.rows[0].bias
+
+    def test_report_csv_rows_are_values(self, monkeypatch):
+        report = self.small_report()
+        written = []
+        monkeypatch.setattr(simulation, "write_csv",
+                            lambda path, header, rows, precision: written.append(
+                                (header, rows, precision)))
+        report.to_csv("unused.csv", precision="full")
+        [(header, rows, precision)] = written
+        assert header == [f.name for f in dataclasses.fields(McPointRow)]
+        assert precision == "full"
+        assert [tuple(r) for r in rows[:-1]] == [dataclasses.astuple(r) for r in report.rows]
+        assert list(rows[-1]) == ["uniform", *[None] * 6, report.uniform_ec,
+                                  report.uniform_il]
 
 
 # Saved from commit 7ba0069, whose fits ran one point and one side at a time:

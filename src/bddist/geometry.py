@@ -238,12 +238,14 @@ class BoundaryPolyline:
 # Assignment rules
 # ---------------------------------------------------------------------------
 
-def _parse_sign(s):
-    if s in (1, +1, "+"):
-        return 1.0
-    if s in (-1, "-"):
-        return -1.0
-    raise InvalidInputError(f"sign must be '+' or '-', got {s!r}")
+def _parse_sign(s, name: str) -> float:
+    """+1.0 or -1.0 from "+", "-", 1 or -1; a bool, which equals 1 or 0, raises."""
+    if not isinstance(s, (bool, np.bool_)):
+        if s in (1, "+"):
+            return 1.0
+        if s in (-1, "-"):
+            return -1.0
+    raise InvalidInputError(f"{name} must be '+' or '-', got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -258,8 +260,8 @@ class QuadrantRule:
     x2_sign: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "x1_sign", _parse_sign(self.x1_sign))
-        object.__setattr__(self, "x2_sign", _parse_sign(self.x2_sign))
+        object.__setattr__(self, "x1_sign", _parse_sign(self.x1_sign, "x1_sign"))
+        object.__setattr__(self, "x2_sign", _parse_sign(self.x2_sign, "x2_sign"))
 
     def contains(self, P) -> np.ndarray:
         """Boolean treatment-membership mask for points ``P``."""
@@ -390,12 +392,18 @@ def make_grid(polyline: BoundaryPolyline, M: int) -> EvalGrid:
 # ---------------------------------------------------------------------------
 
 def _spec_points(value, key: str) -> np.ndarray:
-    """The float array of the boundary spec's point list under ``key``."""
+    """The float array of the boundary spec's point list under ``key``; a
+    bool, which numpy reads as 0 or 1, is not a number."""
     try:
-        return np.asarray(value, dtype=float)
+        points = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"boundary spec {key!r} is not an array of numbers "
                                 f"({exc})") from None
+    for v in np.asarray(value, dtype=object).flat:
+        if isinstance(v, (bool, np.bool_)):
+            raise InvalidInputError(f"boundary spec {key!r} is not an array of numbers "
+                                    f"(it holds {v!r})")
+    return points
 
 
 def load_boundary(source) -> tuple[BoundaryPolyline, AssignmentRule]:

@@ -32,6 +32,13 @@ def _default_boundary() -> BoundaryPolyline:
                                           kinks={1})
 
 
+def _number(value, name: str) -> float:
+    """``float(value)``; a bool, which float() reads as 0 or 1, raises."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class DgpSpec:
     """Linear potential-outcome specification over a bivariate Beta score.
@@ -52,12 +59,12 @@ class DgpSpec:
     assignment: object = field(default_factory=QuadrantRule)
 
     def __post_init__(self):
-        b0 = tuple(float(v) for v in self.beta0)
-        b1 = tuple(float(v) for v in self.beta1)
+        b0 = tuple(_number(v, "beta0") for v in self.beta0)
+        b1 = tuple(_number(v, "beta1") for v in self.beta1)
         if len(b0) != 3 or len(b1) != 3:
             raise InvalidInputError("beta0 and beta1 must each hold 3 coefficients")
         for name in ("sigma0", "sigma1", "score_scale", "score_shift"):
-            value = float(getattr(self, name))
+            value = _number(getattr(self, name), name)
             if not np.isfinite(value):
                 raise InvalidInputError(f"{name} must be finite, got {value}")
             object.__setattr__(self, name, value)
@@ -65,7 +72,7 @@ class DgpSpec:
             raise InvalidInputError("noise scales must be nonnegative")
         if self.score_scale == 0.0:  # a negative scale only mirrors the draw
             raise InvalidInputError(f"score_scale must be nonzero, got {self.score_scale}")
-        a, b = (float(v) for v in self.beta_params)
+        a, b = (_number(v, "beta_params") for v in self.beta_params)
         if not (0.0 < a < np.inf and 0.0 < b < np.inf):
             raise InvalidInputError("Beta parameters must be positive and finite")
         object.__setattr__(self, "beta0", b0)

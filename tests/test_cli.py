@@ -632,9 +632,14 @@ class TestBadInputs:
                                              "numbers (could not convert string to float: 'abc')"),
         ({"assignment": {"polygon": [[0, 0], [1]]}},
          "boundary spec 'polygon' is not an array of numbers (setting an array element"),
+        ({"vertices": [[0, 30], [0, True], [30, 0]]},
+         "boundary spec 'vertices' is not an array of numbers (it holds True)"),
+        ({"assignment": {"polygon": [[0, 0], [True, 0], [0, 1]]}},
+         "boundary spec 'polygon' is not an array of numbers (it holds True)"),
+        ({"assignment": {"quadrant": {"x2_sign": True}}}, "x2_sign must be '+' or '-', got True"),
     ], ids=["assignment-string", "assignment-list", "quadrant-number", "kinks-number",
             "kinks-string", "kinks-fraction", "kinks-bool", "vertex-string", "polygon-string",
-            "polygon-ragged"])
+            "polygon-ragged", "vertex-bool", "polygon-bool", "sign-bool"])
     @pytest.mark.parametrize("command", ["estimate", "simulate"])
     def test_malformed_boundary_file_is_one_error_line(self, tmp_path, capsys, command,
                                                        change, message):
@@ -666,9 +671,11 @@ class TestBadInputs:
         (["estimate", "--config", "{bad}"], b"\xff\xfe{}"),
         (["simulate", "--dgp", "{bad}"], b'{"sigma0": "\xff"}'),
         (["simulate", "--boundary", "{bad}"], b"\xff\xfe{}"),
+        (["simulate", "--dgp", "{bad}", "--n", "300", "--reps", "2", "--c0", "8",
+          "--grid-size", "3", "--band-draws", "1000"], '{"sigma0": true}'),
     ], ids=["config", "dgp", "boundary", "s-grid-count", "s-grid-list",
             "config-list", "dgp-list", "boundary-list", "dgp-field-type",
-            "config-not-utf8", "dgp-not-utf8", "boundary-not-utf8"])
+            "config-not-utf8", "dgp-not-utf8", "boundary-not-utf8", "dgp-bool"])
     def test_malformed_input_is_an_error_not_a_traceback(self, tmp_path, capsys, argv,
                                                           content):
         bad = tmp_path / "bad.json"

@@ -247,6 +247,12 @@ class TestAssignmentRules:
         rule = QuadrantRule("-", "+")
         assert rule.contains([[-1.0, 1.0]])[0]
         assert not rule.contains([[1.0, 1.0]])[0]
+        for plus, minus in ((1, -1), (1.0, -1.0), ("+", "-")):
+            assert QuadrantRule(plus, minus) == QuadrantRule(1.0, -1.0)
+        # A bool equals 1 or 0 but is not a sign.
+        for sign in (True, False, np.True_, 0, 2, "x"):
+            with pytest.raises(InvalidInputError, match="x1_sign must be"):
+                QuadrantRule(sign)
 
     def test_polygon_even_odd(self):
         square = PolygonRule(np.array([[0, 0], [2, 0], [2, 2], [0, 2]], float))
@@ -314,9 +320,18 @@ class TestBoundaryFile:
         ({"vertices": [[0, 30], [0, 10 ** 400]]}, "'vertices' is not an array of numbers"),
         ({"assignment": {"polygon": "abc"}}, "'polygon' is not an array of numbers"),
         ({"assignment": {"polygon": [[0, 0], [1]]}}, "'polygon' is not an array of numbers"),
+        ({"vertices": [[0, 30], [0, True], [30, 0]]},
+         r"'vertices' is not an array of numbers \(it holds True\)"),
+        ({"assignment": {"polygon": [[0, 0], [True, 0], [0, 1]]}},
+         r"'polygon' is not an array of numbers \(it holds True\)"),
+        ({"assignment": {"quadrant": {"x2_sign": True}}},
+         "x2_sign must be '\\+' or '-', got True"),
+        ({"assignment": {"quadrant": {"x1_sign": False}}},
+         "x1_sign must be '\\+' or '-', got False"),
     ], ids=["assignment-string", "assignment-list", "quadrant-number", "kinks-number",
             "kinks-string", "kinks-fraction", "kinks-bool", "kinks-list", "vertex-string",
-            "vertices-object", "vertex-overflow", "polygon-string", "polygon-ragged"])
+            "vertices-object", "vertex-overflow", "polygon-string", "polygon-ragged",
+            "vertex-bool", "polygon-bool", "sign-true", "sign-false"])
     def test_malformed_spec_is_an_input_error(self, change, message):
         spec = {"vertices": [[0, 30], [0, 0], [30, 0]], "assignment": {"quadrant": {}},
                 **change}

@@ -91,6 +91,17 @@ class TestDgpSpec:
                 DgpSpec(beta0=(0, 0, 0), beta1=(0, 0, 0), sigma0=1.0, sigma1=1.0,
                         beta_params=params)
 
+    @pytest.mark.parametrize("field,value", [
+        ("sigma0", True), ("sigma1", np.False_), ("score_scale", True), ("score_shift", False),
+        ("beta0", (True, 0, 0)), ("beta1", (0, 0, np.True_)), ("beta_params", (3.0, True)),
+    ], ids=["sigma0", "sigma1", "score_scale", "score_shift", "beta0", "beta1", "beta_params"])
+    def test_bool_is_not_a_number(self, field, value):
+        # float(True) is 1.0: a JSON true would run as sigma0 = 1 or Beta(3, 1).
+        kwargs = {"beta0": (0, 0, 0), "beta1": (0, 0, 0), "sigma0": 1.0, "sigma1": 1.0,
+                  field: value}
+        with pytest.raises(InvalidInputError, match=f"{field} must be a number, got "):
+            DgpSpec(**kwargs)
+
 
 class TestDrawSample:
     def test_score_location(self):

@@ -247,15 +247,9 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
     tau = np.array([population_tau(spec, pt) for pt in grid.points])
     q_point = normal_quantile(alpha)
 
-    children = np.random.SeedSequence(seed).spawn(reps)
-    theta = np.empty((reps, M))
-    se = np.empty((reps, M))
-    h_used = np.empty((reps, M))
-    band_q = np.empty(reps)
-    ok = np.zeros(reps, dtype=bool)
+    used = []  # each used replication's theta_hat, se, h and band quantile
     failures = {}
-
-    for r, child in enumerate(children):
+    for child in np.random.SeedSequence(seed).spawn(reps):
         draw_seq, band_seq = child.spawn(2)
         sample = draw_sample(spec, n, draw_seq)
         try:
@@ -263,23 +257,18 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
             failed = [f for f in est.points if isinstance(f, BddistError)]
             if failed:
                 raise failed[0]
-            se[r] = est.surface.se
-            band_q[r] = est.band.quantile
+            used.append(([f.theta_hat for f in est.points], est.surface.se,
+                         [f.h for f in est.points], est.band.quantile))
         except BddistError as err:
             name = type(err).__name__
             count, message = failures.get(name, (0, str(err)))
             failures[name] = (count + 1, message)
-            continue
-        theta[r] = [f.theta_hat for f in est.points]
-        h_used[r] = [f.h for f in est.points]
-        ok[r] = True
 
-    used = int(ok.sum())
-    n_failed = reps - used
-    if used == 0:
+    n_failed = reps - len(used)
+    if not used:
         raise BddistError("every replication failed; nothing to report: "
                           + describe_failures(failures))
-    theta, se, h_used, band_q = theta[ok], se[ok], h_used[ok], band_q[ok]
+    theta, se, h_used, band_q = (np.array(column) for column in zip(*used))
 
     err = theta - tau[None, :]
     covered = np.abs(err) <= q_point * se
@@ -309,7 +298,7 @@ def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = No
         uniform_ec=uniform_ec,
         uniform_il=uniform_il,
         reps_requested=reps,
-        reps_used=used,
+        reps_used=len(used),
         n_failed=n_failed,
         failures=failures,
         invalid=(n_failed / reps) > 0.05,

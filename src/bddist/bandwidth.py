@@ -26,6 +26,8 @@ from .kernels import bandwidth_error, kh_weight
 from .locpoly import GramMatrix, side_failure
 
 NUM_CANDIDATES = 15  # log-spaced candidate bandwidths per point for the pilot rules
+DEFAULT_C0 = 1.0
+DEFAULT_BW_EXPONENT = 0.25  # the rule of thumb's n^{-1/4} rate
 
 
 def _point_cloud(points) -> np.ndarray:
@@ -127,7 +129,8 @@ def rot_rate(n: int, exponent: float) -> float:
         return math.inf
 
 
-def rot_bandwidth_from_scale(scale: float, c0: float, n: int, exponent: float = 0.25) -> float:
+def rot_bandwidth_from_scale(scale: float, c0: float, n: int,
+                             exponent: float = DEFAULT_BW_EXPONENT) -> float:
     """Pure rule-of-thumb formula h = c0 * scale * n^{-exponent}, which must
     be positive and finite: a NaN or infinite input, or an exponent whose
     n^{-exponent} overflows or underflows to 0, raises."""
@@ -143,8 +146,8 @@ def rot_bandwidth_from_scale(scale: float, c0: float, n: int, exponent: float = 
     return h
 
 
-def rot_bandwidth(sample, polyline: BoundaryPolyline, c0: float = 1.0,
-                  exponent: float = 0.25) -> float:
+def rot_bandwidth(sample, polyline: BoundaryPolyline, c0: float = DEFAULT_C0,
+                  exponent: float = DEFAULT_BW_EXPONENT) -> float:
     """Rule-of-thumb bandwidth targeting the n^{-1/4} rate (one h for all points).
 
     The exponent override (default 1/4) also serves the undersmoothed
@@ -388,8 +391,8 @@ class Fixed:
 
 @dataclass(frozen=True)
 class RuleOfThumb:
-    c0: float = 1.0
-    exponent: float = 0.25
+    c0: float = DEFAULT_C0
+    exponent: float = DEFAULT_BW_EXPONENT
 
 
 @dataclass(frozen=True)
@@ -399,8 +402,8 @@ class MsePilot:
 
 @dataclass(frozen=True)
 class KinkAdaptive:
-    c0: float = 1.0
-    exponent: float = 0.25
+    c0: float = DEFAULT_C0
+    exponent: float = DEFAULT_BW_EXPONENT
 
 
 BandwidthRule = Fixed | RuleOfThumb | MsePilot | KinkAdaptive

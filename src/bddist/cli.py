@@ -24,7 +24,7 @@ from .data import Sample
 from .errors import BddistError, DataParseError, DataSchemaError, InvalidInputError
 from .formatting import open_text, read_json, write_csv
 from .geometry import load_boundary, make_grid
-from .inference import DEFAULT_NUM_DRAWS, estimate, pointwise_ci
+from .inference import DEFAULT_ALPHA, DEFAULT_NUM_DRAWS, estimate, pointwise_ci
 from .kernels import DEFAULT_KERNEL, FAMILIES
 from .oracle import fixed_h_bias
 from .simulation import (DEFAULT_GRID_SIZE, DgpSpec, default_dgp, describe_failures,
@@ -238,10 +238,10 @@ def _add_pipeline(sp):
     sp.add_argument("--h", type=float)
     sp.add_argument("--boundary", help="boundary spec JSON file")
     sp.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     sp.add_argument("--bw-rule", choices=("fixed", "rot", "mse", "kink"), default="rot")
-    sp.add_argument("--c0", type=float, default=1.0)
-    sp.add_argument("--bw-exponent", type=float, default=0.25)
+    sp.add_argument("--c0", type=float, default=bw.DEFAULT_C0)
+    sp.add_argument("--bw-exponent", type=float, default=bw.DEFAULT_BW_EXPONENT)
     sp.add_argument("--band-draws", type=int, default=DEFAULT_NUM_DRAWS)
     sp.add_argument("--seed", type=int, default=0)
 

@@ -155,10 +155,10 @@ class BoundaryPolyline:
         object.__setattr__(self, "cumulative_arclength", cum)
 
     @classmethod
-    def from_vertices(cls, vertices, kinks=None, angle_tol=DEFAULT_KINK_ANGLE_TOL):
+    def from_vertices(cls, vertices, kinks=None):
         """Build a polyline, auto-detecting kinks when none are given."""
         if kinks is None:
-            kinks = detect_kinks(vertices, angle_tol)
+            kinks = detect_kinks(vertices)
         return cls(np.asarray(vertices, dtype=float), tuple(kinks))
 
     @property

@@ -33,6 +33,7 @@ from .kernels import DEFAULT_KERNEL
 from .locpoly import PointFit, fit_grid
 
 DEFAULT_NUM_DRAWS = 10000
+DEFAULT_ALPHA = 0.05
 
 # Bytes per band draw buffer: the two (DRAW_BUFFER_BYTES // (8 M), M)
 # buffers, 1 170 rows each at M = 21, stay in a core's L2 cache.
@@ -129,7 +130,7 @@ def _limits(fits: list, q: float, se: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lower, upper
 
 
-def pointwise_ci(fits: list, se, alpha: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
+def pointwise_ci(fits: list, se, alpha: float = DEFAULT_ALPHA) -> tuple[np.ndarray, np.ndarray]:
     """Normal-quantile confidence intervals theta_hat -+ normal_quantile(alpha) * se:
     read-only ``(lower, upper)`` arrays over ``fits``, in their order.
 
@@ -232,7 +233,7 @@ class BandResult:
     seed: int
 
 
-def uniform_band(fits: list, surface: CovarianceSurface, alpha: float = 0.05,
+def uniform_band(fits: list, surface: CovarianceSurface, alpha: float = DEFAULT_ALPHA,
                  num_draws: int = DEFAULT_NUM_DRAWS, seed: int = 0) -> BandResult:
     """Simultaneous confidence band over all grid fits, from ``surface.se``."""
     if len(fits) != surface.corr.shape[0]:
@@ -270,7 +271,7 @@ class Estimate:
 
 
 def estimate(sample, grid: EvalGrid, rule, kernel: str = DEFAULT_KERNEL, p: int = 1,
-             alpha: float = 0.05, num_draws: int = DEFAULT_NUM_DRAWS,
+             alpha: float = DEFAULT_ALPHA, num_draws: int = DEFAULT_NUM_DRAWS,
              seed=0) -> Estimate:
     """Effect estimates along ``grid``, under the bandwidth ``rule`` resolved on
     ``grid.polyline``.  A failure of the whole rule raises; a point's failure

@@ -20,7 +20,7 @@ from .data import Sample
 from .errors import BddistError, InvalidInputError
 from .formatting import write_csv
 from .geometry import BoundaryPolyline, EvalGrid, QuadrantRule, make_grid
-from .inference import DEFAULT_NUM_DRAWS, estimate, normal_quantile
+from .inference import DEFAULT_ALPHA, DEFAULT_NUM_DRAWS, estimate, normal_quantile
 from .kernels import DEFAULT_KERNEL
 from .oracle import population_tau
 
@@ -228,7 +228,7 @@ class McReport:
 
 def run_monte_carlo(spec: DgpSpec, n: int, reps: int, grid: EvalGrid | None = None,
                     p: int = 1, kernel: str = DEFAULT_KERNEL,
-                    bw_rule=None, alpha: float = 0.05,
+                    bw_rule=None, alpha: float = DEFAULT_ALPHA,
                     band_draws: int = DEFAULT_NUM_DRAWS, seed: int = 0) -> McReport:
     """Repeatedly draw, run ``estimate`` on the grid, and tabulate coverage.
 

@@ -21,7 +21,7 @@ from .errors import (
     InvalidBandwidthError,
     InvalidInputError,
 )
-from .geometry import BoundaryPolyline, as_point, distance, point_distances
+from .geometry import BoundaryPolyline, as_point, point_distances
 from .kernels import bandwidth_error, kh_weight
 from .locpoly import GramMatrix, side_failure
 
@@ -363,7 +363,7 @@ def kink_adaptive_bandwidth(eval_pt, polyline: BoundaryPolyline, h_mse: float,
     kinks = polyline.kink_points
     if len(kinks) == 0:
         return float(h_mse)
-    d = min(distance(kink, eval_pt) for kink in kinks)
+    d = float(point_distances(kinks, as_point(eval_pt)).min())
     return float(min(h_mse, max(rot_h, d)))
 
 

@@ -276,10 +276,13 @@ class PolygonRule:
     """Treatment region is the interior of a closed polygon (even-odd rule).
 
     Points within BOUNDARY_TOL of any polygon edge count as treated, matching
-    the convention that the boundary belongs to the treatment region.
+    the convention that the boundary belongs to the treatment region.  The
+    edges are a closed ``BoundaryPolyline`` (the first vertex repeated at the
+    end), so consecutive vertices must be distinct, as on a boundary.
     """
 
     vertices: np.ndarray
+    edges: BoundaryPolyline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         V = _as_points(self.vertices)
@@ -291,25 +294,21 @@ class PolygonRule:
             raise InvalidInputError("polygon needs at least 3 distinct vertices")
         V.setflags(write=False)
         object.__setattr__(self, "vertices", V)
+        object.__setattr__(self, "edges", BoundaryPolyline(np.vstack([V, V[:1]])))
 
     def contains(self, P) -> np.ndarray:
         P = _as_points(P)
-        V = self.vertices
+        E = self.edges.vertices
         x, y = P[:, 0], P[:, 1]
         inside = np.zeros(len(P), dtype=bool)
-        on_edge = np.zeros(len(P), dtype=bool)
-        for i in range(len(V)):
-            a = V[i]
-            b = V[(i + 1) % len(V)]
+        for a, b in zip(E[:-1], E[1:]):
             # Even-odd ray crossing (ray to +x), half-open in y to avoid
             # double counting vertices.
             crosses = (a[1] > y) != (b[1] > y)
             with np.errstate(divide="ignore", invalid="ignore"):
                 x_int = a[0] + (y - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
             inside ^= crosses & (x < np.where(crosses, x_int, np.inf))
-            # Edge snap: points within BOUNDARY_TOL of [a, b] count as treated.
-            on_edge |= _segment_distance(P, a, b) <= BOUNDARY_TOL
-        return inside | on_edge
+        return inside | (self.edges.distance_to(P) <= BOUNDARY_TOL)
 
 
 # Either rule variant; both expose .contains(P) -> bool mask.

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bddist.errors import InvalidInputError
 from bddist.geometry import (
+    BOUNDARY_TOL,
     ROW_BLOCK,
     BoundaryPolyline,
     PolygonRule,
@@ -266,12 +269,63 @@ class TestAssignmentRules:
         assert square.contains([[1.0, 0.0]])[0]
         assert square.contains([[2.0, 2.0]])[0]
 
+    def test_closed_polygon_is_the_open_one(self):
+        V = np.array([[0, 0], [2, 0], [2, 2], [0, 2]], float)
+        open_, closed = PolygonRule(V), PolygonRule(np.vstack([V, V[:1]]))
+        assert np.array_equal(closed.vertices, open_.vertices)
+        assert np.array_equal(closed.edges.vertices, open_.edges.vertices)
+        P = np.random.default_rng(5).uniform(-1, 3, (400, 2))
+        P[:8] = [[0, 0], [1, 0], [2, 1], [2, 2], [0, 1], [1, 2], [0, 2], [1, 1]]
+        assert np.array_equal(closed.contains(P), open_.contains(P))
+
     def test_membership_total_on_random_points(self):
         rng = np.random.default_rng(11)
         pts = rng.normal(scale=3.0, size=(500, 2))
         for rule in (QuadrantRule(), PolygonRule(np.array([[0, 0], [1, 0], [0.5, 2.0]]))):
             mask = rule.contains(pts)
             assert mask.dtype == bool and mask.shape == (500,)
+
+
+def per_edge_contains(V, P):
+    """Polygon membership with one even-odd pass and one edge-snap pass per
+    edge: the reference that ``PolygonRule.contains`` must match bit for bit."""
+    x, y = P[:, 0], P[:, 1]
+    inside = np.zeros(len(P), dtype=bool)
+    on_edge = np.zeros(len(P), dtype=bool)
+    for i in range(len(V)):
+        a, b = V[i], V[(i + 1) % len(V)]
+        crosses = (a[1] > y) != (b[1] > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_int = a[0] + (y - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
+        inside ^= crosses & (x < np.where(crosses, x_int, np.inf))
+        ab = b - a
+        t = np.clip(((P - a) @ ab) / (ab @ ab), 0.0, 1.0)
+        gap = np.hypot(P[:, 0] - (a[0] + t * ab[0]), P[:, 1] - (a[1] + t * ab[1]))
+        on_edge |= gap <= BOUNDARY_TOL
+    return inside | on_edge
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 12),
+       offset=st.sampled_from([0.0, 1e3, 1e6]), integer=st.booleans(),
+       n=st.sampled_from([1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]))
+def test_polygon_masks_match_the_per_edge_passes(seed, m, offset, integer, n):
+    # Integer vertices give horizontal and vertical edges, and rows that lie
+    # exactly on them; about half the rows are on an edge, a fifth of those
+    # at a vertex.
+    rng = np.random.default_rng(seed)
+    V = rng.integers(-4, 5, (m, 2)) if integer else rng.uniform(-4, 4, (m, 2))
+    V = V.astype(float)
+    assume(not np.any(np.all(V == np.roll(V, -1, axis=0), axis=1)))
+    V += offset
+    P = rng.uniform(-6, 6, (n, 2)) + offset
+    edge = rng.integers(0, m, n)
+    t = rng.integers(0, 5, n) / 4 if integer else rng.uniform(0, 1, n)
+    t[rng.uniform(size=n) < 0.2] = 0.0
+    on = rng.uniform(size=n) < 0.5
+    P[on] = ((1 - t[:, None]) * V[edge] + t[:, None] * V[(edge + 1) % m])[on]
+    rule = PolygonRule(V)
+    assert np.array_equal(rule.contains(P), per_edge_contains(rule.vertices, P))
 
 
 class TestBoundaryFile:

@@ -146,9 +146,9 @@ def run_estimate(cfg: argparse.Namespace) -> int:
                       band.lower, band.upper)
         for k, fit, *values in columns:
             rows[k] += [fit.h, fit.fit0.n_eff, fit.fit1.n_eff, fit.theta_hat, *values, None]
-        if cfg.dump_cov:
-            write_csv(cfg.dump_cov, [f"x{j + 1}" for j in range(len(est.fitted))],
-                      est.surface.xi, cfg.precision)
+    if cfg.dump_cov:  # with no fitted point, a matrix of no rows and no columns
+        write_csv(cfg.dump_cov, [f"x{j + 1}" for j in range(len(est.fitted))],
+                  est.surface.xi if est.fitted else [], cfg.precision)
 
     header = ["point_id", "b1", "b2", "h", "n_eff_0", "n_eff_1", "theta_hat",
               "se", "ci_lower", "ci_upper", "band_lower", "band_upper", "error"]
@@ -311,7 +311,7 @@ def build_config(argv=None) -> argparse.Namespace:
     if not 0.0 < cfg.alpha < 1.0:
         raise InvalidInputError(f"alpha must be in (0, 1), got {cfg.alpha}")
     if cfg.grid_size < 1:
-        raise InvalidInputError("grid-size must be >= 1")
+        raise InvalidInputError(f"grid-size must be >= 1, got {cfg.grid_size}")
     if cfg.seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.band_draws < 1000:

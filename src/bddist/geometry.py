@@ -140,7 +140,9 @@ class BoundaryPolyline:
         seg = np.diff(V, axis=0)
         lengths = np.hypot(seg[:, 0], seg[:, 1])
         if np.any(lengths == 0.0):
-            raise InvalidInputError("consecutive polyline vertices must be distinct")
+            i = int(np.argmax(lengths == 0.0)) + 1
+            raise InvalidInputError(f"consecutive polyline vertices must be distinct "
+                                    f"(vertex {i} repeats {tuple(V[i].tolist())})")
         cum = np.concatenate([[0.0], np.cumsum(lengths)])
         if not np.isfinite(cum[-1]) or cum[-1] <= 0.0:
             raise InvalidInputError("polyline must have positive finite length")

@@ -300,6 +300,17 @@ class TestEstimate:
         assert mat.shape == (3, 3)
         assert np.allclose(mat, mat.T, atol=1e-10)
 
+    def test_dump_cov_is_written_when_every_point_fails(self, tmp_path, boundary_file):
+        # No fitted point: the dump is a matrix of no rows and no columns, and
+        # a stale file of an earlier run does not survive.
+        out, cov = tmp_path / "out.csv", tmp_path / "cov.csv"
+        cov.write_text("stale\n")
+        assert main(["estimate", "--data", write_dataset(tmp_path), "--boundary",
+                     boundary_file, "--grid-size", "3", "--bw-rule", "fixed", "--h", "0.01",
+                     "--out", str(out), "--dump-cov", str(cov)]) == 2
+        assert [row["error"] for row in read_rows(out)] == ["insufficient-data"] * 3
+        assert cov.read_text() == "\n"
+
     def test_estimate_reproducible(self, tmp_path, boundary_file):
         data = write_dataset(tmp_path)
         args = ["estimate", "--data", data, "--boundary", boundary_file,
@@ -386,6 +397,20 @@ class TestSimulate:
         rows = out.read_text().strip().splitlines()[1:-1]
         biases = [abs(float(r.split(",")[4])) for r in rows]
         assert max(biases) < 0.5
+
+    def test_partial_failure_is_one_warning_line(self, tmp_path, capsys):
+        # n = 60 leaves most replications a side with one weighted row.
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--n", "60", "--reps", "30", "--grid-size", "3",
+                     "--bw-rule", "fixed", "--h", "10", "--band-draws", "1000",
+                     "--seed", "31", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 28/30 replications failed; report flagged invalid: "
+            "InsufficientDataError in 28 (first: side 0: 1 positively weighted "
+            "observations, need at least 2)\n")
+        lines = out.read_text().splitlines()
+        assert lines[0] == "point_id,b1,b2,h,bias,sd,rmse,ec,il"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "uniform"]
 
     def test_run_monte_carlo_is_looked_up_in_the_cli_module(self, tmp_path, monkeypatch):
         # The benchmark's worker patches this name to count failed replications.
@@ -511,6 +536,7 @@ class TestBadInputs:
                      "c0 must be positive and finite, got inf", id="kink--c0=inf"),
         pytest.param(["--bw-exponent", "nan"], "bw-exponent must be finite, got nan",
                      id="--bw-exponent=nan"),
+        pytest.param(["--grid-size", "0"], "grid-size must be >= 1, got 0", id="--grid-size"),
     ])
     @pytest.mark.parametrize("command", ["estimate", "simulate"])
     def test_negative_order_or_seed_is_one_error_line(self, tmp_path, boundary_file, capsys,
@@ -637,9 +663,11 @@ class TestBadInputs:
         ({"assignment": {"polygon": [[0, 0], [True, 0], [0, 1]]}},
          "boundary spec 'polygon' is not an array of numbers (it holds True)"),
         ({"assignment": {"quadrant": {"x2_sign": True}}}, "x2_sign must be '+' or '-', got True"),
+        ({"assignment": {"polygon": [[0, 0], [80, 0], [80, 0], [80, 80], [0, 80]]}},
+         "consecutive polyline vertices must be distinct (vertex 2 repeats (80.0, 0.0))"),
     ], ids=["assignment-string", "assignment-list", "quadrant-number", "kinks-number",
             "kinks-string", "kinks-fraction", "kinks-bool", "vertex-string", "polygon-string",
-            "polygon-ragged", "vertex-bool", "polygon-bool", "sign-bool"])
+            "polygon-ragged", "vertex-bool", "polygon-bool", "sign-bool", "polygon-repeat"])
     @pytest.mark.parametrize("command", ["estimate", "simulate"])
     def test_malformed_boundary_file_is_one_error_line(self, tmp_path, capsys, command,
                                                        change, message):
@@ -656,6 +684,7 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1 and err.count("error: ") == 1
+        assert "RuntimeWarning" not in err
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("argv,content", [

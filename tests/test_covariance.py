@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from bddist.covariance import build_surface, regularize_correlation
 from bddist.data import Sample
-from bddist.errors import DegenerateVarianceError, InvalidPairingError
+from bddist.errors import (DegenerateVarianceError, InsufficientDataError, InvalidInputError,
+                           InvalidPairingError)
 from bddist.geometry import QuadrantRule
 from bddist.locpoly import PointFit, fit_point, scaled_basis
 from fit_oracle import DistanceColumn, fit_side, support_arrays
@@ -177,6 +178,14 @@ class TestBuildSurface:
                        "uniform", 0.9, 1)
         with pytest.raises(InvalidPairingError):
             build_surface([fa, fb])
+
+    def test_no_fits_or_a_failed_fit_rejected(self):
+        with pytest.raises(InvalidInputError, match="no fits supplied"):
+            build_surface([])
+        fit = fit_point(random_two_sided_sample(np.random.default_rng(12)), (0.0, 0.0),
+                        "uniform", 0.9, 1)
+        with pytest.raises(InvalidInputError, match="requires successful fits only"):
+            build_surface([fit, InsufficientDataError(0, 1, 2)])
 
     def test_factor_reproduces_corr(self):
         rng = np.random.default_rng(9)

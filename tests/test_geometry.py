@@ -101,8 +101,11 @@ class TestPolyline:
             BoundaryPolyline(np.array([[0.0, 0.0]]))
 
     def test_duplicate_vertices_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"vertex 1 repeats \(0\.0, 0\.0\)"):
             BoundaryPolyline(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+        # A polygon's edges are a closed polyline, under the same check.
+        with pytest.raises(InvalidInputError, match=r"vertex 2 repeats \(1\.0, 0\.0\)"):
+            PolygonRule([[0, 0], [1, 0], [1, 0], [0, 1]])
 
     def test_kink_index_must_be_interior(self):
         with pytest.raises(InvalidInputError):
@@ -382,10 +385,13 @@ class TestBoundaryFile:
          "x2_sign must be '\\+' or '-', got True"),
         ({"assignment": {"quadrant": {"x1_sign": False}}},
          "x1_sign must be '\\+' or '-', got False"),
+        ({"assignment": {"polygon": [[0, 0], [80, 0], [80, 0], [80, 80], [0, 80]]}},
+         r"vertex 2 repeats \(80\.0, 0\.0\)"),
     ], ids=["assignment-string", "assignment-list", "quadrant-number", "kinks-number",
             "kinks-string", "kinks-fraction", "kinks-bool", "kinks-list", "vertex-string",
             "vertices-object", "vertex-overflow", "polygon-string", "polygon-ragged",
-            "vertex-bool", "polygon-bool", "sign-true", "sign-false"])
+            "vertex-bool", "polygon-bool", "sign-true", "sign-false",
+            "polygon-repeat"])
     def test_malformed_spec_is_an_input_error(self, change, message):
         spec = {"vertices": [[0, 30], [0, 0], [30, 0]], "assignment": {"quadrant": {}},
                 **change}

@@ -307,6 +307,12 @@ class TestUniformBand:
             assert same_bits(band.lower[k], fit.theta_hat - q * se)
             assert same_bits(band.upper[k], fit.theta_hat + q * se)
 
+    def test_fits_and_surface_must_cover_the_same_points(self):
+        fits, surface = grid_fits()
+        for wrong in (fits[:-1], fits + fits[:1]):
+            with pytest.raises(InvalidInputError, match="mismatched grid sizes"):
+                uniform_band(wrong, surface, 0.05, num_draws=2000, seed=6)
+
     def test_identity_corr_strictly_above_normal(self):
         q = uniform_quantile(np.eye(21), 0.05, num_draws=50000, seed=7)
         assert q > 1.96 + 0.3  # max of 21 independents is well above

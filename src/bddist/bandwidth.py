@@ -22,7 +22,7 @@ from .errors import (
     InvalidInputError,
 )
 from .geometry import BoundaryPolyline, as_point, point_distances
-from .kernels import bandwidth_error, kh_weight
+from .kernels import bandwidth_error, support_weights
 from .locpoly import GramMatrix, side_failure
 
 NUM_CANDIDATES = 15  # log-spaced candidate bandwidths per point for the pilot rules
@@ -225,7 +225,7 @@ class _SidePilot(NamedTuple):
     positive entries.  Row k of ``sums`` holds the moments
     n^{-1} sum_i w_i (D_i/h)^j for j <= 2p + 2, then the scores
     n^{-1} sum_i w_i y_i (D_i/h)^j for j <= p + 1.  Row j of ``powers`` is
-    (D/h_max)^j over the longest prefix.
+    (D/scale)^j over the longest prefix.
     """
 
     ends: np.ndarray
@@ -235,30 +235,36 @@ class _SidePilot(NamedTuple):
     powers: np.ndarray
 
 
-def _side_pilot(side: _Side, kernel: str, hs: np.ndarray, p: int, n: int) -> _SidePilot:
+def _side_pilot(side: _Side, kernel: str, hs: np.ndarray, p: int, n: int,
+                scale: float) -> _SidePilot:
     """Every candidate's sums on one side: one product per candidate over
-    its prefix of the power rows (D/h_max)^j, each entry in [-1, 1], and of
-    y times the first p + 2 of them; the sums at h are rescaled by
-    (h_max/h)^j."""
+    its prefix of the power rows (D/scale)^j and of y times the first p + 2
+    of them; the sums at h are rescaled by (scale/h)^j.
+
+    ``scale`` is the largest valid candidate of the point's whole grid, not
+    of ``hs``: a row's entries, and so every candidate's sums, then have the
+    same bits whichever batch of the grid ``hs`` is, and the entries lie in
+    [-1, 1].  Each candidate's weights take one pass (``support_weights``).
+    """
     ends = np.searchsorted(side.mags, hs, side="right")
-    h_max, m = hs.max(), ends.max()
-    u = side.d[:m] / h_max
+    m = ends.max()
+    u = side.d[:m] / scale
     rows = np.empty((3 * p + 5, m))
     rows[0] = 1.0
     for j in range(1, 2 * p + 3):
         np.multiply(rows[j - 1], u, out=rows[j])
     np.multiply(rows[:p + 2], side.y[:m], out=rows[2 * p + 3:])
-    # |D| gives kh_weight the bits of D: the kernels are even.
-    weights = [kh_weight(kernel, side.mags[:e], h) for h, e in zip(hs, ends)]
-    counts = np.array([np.count_nonzero(w > 0.0) for w in weights])
+    # |D| gives kh_weight's bits of D: the kernels are even.
+    pairs = [support_weights(kernel, side.mags[:e], h) for h, e in zip(hs, ends)]
+    weights = [w for w, _ in pairs]
     sums = np.array([rows[:, :e] @ w for w, e in zip(weights, ends)])
     j = np.concatenate([np.arange(2 * p + 3), np.arange(p + 2)])
-    sums *= (h_max / hs)[:, None] ** j / n
-    return _SidePilot(ends, weights, counts, sums, rows[:2 * p + 3])
+    sums *= (scale / hs)[:, None] ** j / n
+    return _SidePilot(ends, weights, np.array([c for _, c in pairs]), sums, rows[:2 * p + 3])
 
 
 def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
-                         sides=None) -> list:
+                         sides=None, scale=None) -> list:
     """Estimated MSE at each candidate bandwidth at one point, in one pass
     per side.
 
@@ -273,7 +279,12 @@ def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
     (G_jk = mu_{j+k}) and scores of both orders are one product over the
     prefix of rows within it (``_side_pilot``).  One batched
     eigendecomposition and one stacked solve per order serve every
-    candidate and side.  Sums of phi_i^2 run over the residuals themselves,
+    candidate and side.
+
+    The power rows are (D/scale)^j, ``scale`` by default the largest valid
+    candidate.  Scoring a contiguous slice of a point's grid against the
+    whole grid's scale gives that slice of the whole grid's entries, bit
+    for bit: every sum, solve and variance is a candidate's own.  Sums of phi_i^2 run over the residuals themselves,
     not over moments of y^2, so an affine change of y keeps its digits.
 
     Returns one entry per candidate: the objective as a float, or the
@@ -289,7 +300,8 @@ def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
     if sides is None:
         sides = _point_sides(_split_sides(sample), eval_pt)
     hs, n = candidates[valid], len(sample)
-    pilots = [_side_pilot(s, kernel, hs, p, n) for s in sides]
+    scale = hs.max() if scale is None else scale
+    pilots = [_side_pilot(s, kernel, hs, p, n, scale) for s in sides]
     # Axes: candidate, side, then the Gram's rows and columns.
     counts = np.stack([s.counts for s in pilots], axis=1)
     sums = np.stack([s.sums for s in pilots], axis=1)
@@ -311,9 +323,9 @@ def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
     order_p1 = GramMatrix(grams[ok], lam_p1[ok], vec_p1[ok]).solve(scores[ok, :, :, None])
     gaps = (order_p[:, 1, 0, 1] - order_p[:, 0, 0, 1]) - (order_p1[:, 1, 0, 0]
                                                           - order_p1[:, 0, 0, 0])
-    # Coefficients of the power rows (D/h_max)^j for l and f.
+    # Coefficients of the power rows (D/scale)^j for l and f.
     coefs = (np.swapaxes(order_p, -1, -2)
-             * ((hs.max() / hs[ok])[:, None] ** np.arange(p + 1))[:, None, None, :])
+             * ((scale / hs[ok])[:, None] ** np.arange(p + 1))[:, None, None, :])
     for k, gap, coef in zip(ok, gaps, coefs):
         variance = 0.0
         for s, side, c in zip(pilots, sides, coef):
@@ -326,45 +338,86 @@ def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
     return out
 
 
+def _first_minimum(objectives) -> int | None:
+    """Index of the first of equal minima among the objectives that are
+    not errors, or None if none is below inf."""
+    best, best_val = None, np.inf
+    for k, val in enumerate(objectives):
+        if not isinstance(val, BddistError) and val < best_val:
+            best, best_val = k, val
+    return best
+
+
 def mse_pilot_bandwidth(sample, eval_pt, kernel: str, p: int, candidates,
-                        sides=None) -> float:
-    """Candidate bandwidth minimizing the estimated MSE at one point.
+                        sides=None, cap=None) -> float:
+    """Candidate bandwidth minimizing the estimated MSE at one point, or,
+    given ``cap``, the smaller of it and the cap.
 
     The objectives come from ``mse_pilot_objectives``, given ``sides``:
     no fit is run.  Candidates where a fit would fail (too few
     observations, singular design) are skipped, and the first of equal
     minima wins; if every candidate fails the selection fails.
+
+    With a cap, the candidates are scored in two batches, each against the
+    whole grid's scale, so every objective has the bits of a whole-grid
+    call.  The first batch holds every candidate below the cap and the
+    first one at or above it after them.  If that one is the first
+    minimum of its batch (valid, and below every valid objective before
+    it), a later candidate can only win by being smaller still, and is at
+    or above the cap too: h is the cap and the rest are never scored.
+    Otherwise the rest are scored and the pick over the whole grid is
+    capped.  The stop test is the pick's tie rule, so a change to that
+    rule must change both.
     """
     candidates = np.asarray(candidates, dtype=float)
     if candidates.size < 5:
         raise InvalidInputError("candidate grid needs >= 5 points")
-    best_h, best_val = None, np.inf
-    objectives = mse_pilot_objectives(sample, eval_pt, kernel, p, candidates, sides)
-    for h, val in zip(candidates, objectives):
-        if not isinstance(val, BddistError) and val < best_val:
-            best_h, best_val = float(h), val
-    if best_h is None:
+    stop, scale = candidates.size, None
+    if cap is not None:
+        below = np.flatnonzero(candidates < cap)
+        stop = below[-1] + 1 if below.size else 0
+        scale = max((h for h in candidates if bandwidth_error(h) is None), default=None)
+    first = min(stop + 1, candidates.size)
+    objectives = mse_pilot_objectives(sample, eval_pt, kernel, p, candidates[:first],
+                                      sides, scale)
+    if stop < candidates.size:
+        if _first_minimum(objectives) == stop:
+            return float(cap)
+        objectives += mse_pilot_objectives(sample, eval_pt, kernel, p, candidates[first:],
+                                           sides, scale)
+    best = _first_minimum(objectives)
+    if best is None:
         raise BandwidthSelectionError(
             f"no candidate bandwidth in [{candidates.min():.3g}, "
             f"{candidates.max():.3g}] produced a valid fit at "
             f"{tuple(as_point(eval_pt).tolist())}"
         )
-    return best_h
+    h = float(candidates[best])
+    return h if cap is None else float(min(h, cap))
+
+
+def kink_cap(eval_pt, polyline: BoundaryPolyline, rot_h: float) -> float | None:
+    """The kink rule's cap on the pilot bandwidth at one point:
+    max(rot_h, distance to the nearest kink), or None with no marked kinks."""
+    kinks = polyline.kink_points
+    if len(kinks) == 0:
+        return None
+    return max(rot_h, float(point_distances(kinks, as_point(eval_pt)).min()))
 
 
 def kink_adaptive_bandwidth(eval_pt, polyline: BoundaryPolyline, h_mse: float,
                             rot_h: float) -> float:
     """min(h_mse, max(rot_h, distance to the nearest kink)).
 
-    With no marked kinks the pilot bandwidth is returned unchanged.
+    With no marked kinks the pilot bandwidth is returned unchanged.  The
+    cap comes from ``kink_cap``, which ``resolve_bandwidths`` calls before
+    the pilot, so that the pilot scores only the candidates that can still
+    set h (``mse_pilot_bandwidth``).
     """
     if not (h_mse > 0.0 and rot_h > 0.0):
         raise InvalidInputError("bandwidths must be positive")
-    kinks = polyline.kink_points
-    if len(kinks) == 0:
-        return float(h_mse)
-    d = float(point_distances(kinks, as_point(eval_pt)).min())
-    return float(min(h_mse, max(rot_h, d)))
+    cap = kink_cap(eval_pt, polyline, rot_h)
+    return float(h_mse if cap is None else min(h_mse, cap))
 
 
 def univariate_rescale(h_1d: float, p: int, n: int) -> float:
@@ -434,6 +487,14 @@ def resolve_bandwidths(rule, sample, grid, kernel: str, p: int) -> list:
     grid starts at a percentile of |D| over the whole sample) and one sort
     by |D|; the sorted sides serve both the candidate grid and every
     candidate's objective (``mse_pilot_objectives``).
+
+    The kink rule computes each point's cap first (``kink_cap``, shared
+    with ``kink_adaptive_bandwidth``) and hands it to
+    ``mse_pilot_bandwidth``, which scores the candidates above the cap only
+    if one of them can still set h: the outcome is
+    ``kink_adaptive_bandwidth(pt, polyline, h_mse, rot_h)`` of the
+    whole-grid pick h_mse, bit for bit, or the same error.  The early stop
+    mirrors the pick's tie rule (the first of equal minima).
     """
     if isinstance(rule, (Fixed, RuleOfThumb)):
         extent = coordinate_extent(sample.x)
@@ -454,12 +515,11 @@ def resolve_bandwidths(rule, sample, grid, kernel: str, p: int) -> list:
     outcomes = []
     for pt in grid.points:
         try:
+            cap = None if rot_h is None else kink_cap(pt, grid.polyline, rot_h)
             sides = _point_sides(split, pt)
             h = mse_pilot_bandwidth(sample, pt, kernel, p,
                                     candidate_bandwidths([s.mags for s in sides], diameter),
-                                    sides)
-            if rot_h is not None:
-                h = kink_adaptive_bandwidth(pt, grid.polyline, h, rot_h)
+                                    sides, cap)
         except BddistError as err:
             h = err
         outcomes.append(h)

@@ -16,6 +16,7 @@ from bddist.bandwidth import (
     coordinate_extent,
     data_diameter,
     kink_adaptive_bandwidth,
+    kink_cap,
     mse_pilot_bandwidth,
     mse_pilot_objectives,
     resolve_bandwidths,
@@ -34,7 +35,7 @@ from bddist.errors import (
     SingularGramError,
 )
 from bddist.geometry import BoundaryPolyline, QuadrantRule, make_grid
-from bddist.kernels import FAMILIES
+from bddist.kernels import FAMILIES, bandwidth_error
 from bddist.locpoly import fit_point
 from bddist.simulation import default_dgp, draw_sample
 from fit_oracle import build_distance_column
@@ -406,6 +407,178 @@ def test_pilot_names_the_first_failure_of_the_two_fits(p):
     assert isinstance(got[p + 2], float)
 
 
+def outcome(value):
+    """A float by its repr, an error by its class and message."""
+    if isinstance(value, BddistError):
+        return type(value).__name__, str(value)
+    assert type(value) is float
+    return repr(value)
+
+
+def grid_scale(H):
+    """The largest valid candidate of a grid: the scale of its power rows."""
+    return max(h for h in H if bandwidth_error(h) is None)
+
+
+def assert_slices_have_the_whole_grid_bits(sample, eval_pt, kernel, p, H, slices):
+    whole = mse_pilot_objectives(sample, eval_pt, kernel, p, H)
+    for lo, hi in slices:
+        part = mse_pilot_objectives(sample, eval_pt, kernel, p, H[lo:hi], scale=grid_scale(H))
+        assert [outcome(v) for v in part] == [outcome(v) for v in whole[lo:hi]], (lo, hi)
+    return whole
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=pilot_cases(), kernel=st.sampled_from(FAMILIES), p=st.integers(0, 2),
+       lo=st.integers(0, 20), width=st.integers(1, 20))
+def test_a_slice_scored_against_the_grid_scale_has_the_whole_grid_bits(case, kernel, p,
+                                                                        lo, width):
+    sample, column, H = case
+    lo %= H.size
+    assert_slices_have_the_whole_grid_bits(sample, column.eval_pt, kernel, p, H,
+                                           [(lo, min(H.size, lo + width))])
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("kernel", FAMILIES)
+def test_every_slice_has_the_whole_grid_bits(kernel, p):
+    # No control row within 0.8 of the origin: the small candidates fail,
+    # so most slices hold failures and objectives.
+    sample, column, H = pilot_case(3, "one-sided", 300, True, 0.05, 2.5, 12, [5, 77])
+    slices = [(lo, hi) for lo in range(H.size) for hi in range(lo + 1, H.size + 1)]
+    whole = assert_slices_have_the_whole_grid_bits(sample, column.eval_pt, kernel, p, H, slices)
+    assert isinstance(whole[0], InsufficientDataError)
+    assert sum(isinstance(v, float) for v in whole) >= 3
+
+
+KINKED = TestKinkAdaptive.PL  # its kink is the origin, so the cap there is rot_h
+ORIGIN = (0.0, 0.0)
+
+
+def scored_sizes(monkeypatch):
+    """The number of candidates of each ``mse_pilot_objectives`` call."""
+    sizes, score = [], bandwidth.mse_pilot_objectives
+
+    def spy(sample, eval_pt, kernel, p, candidates, *args, **kwargs):
+        sizes.append(len(candidates))
+        return score(sample, eval_pt, kernel, p, candidates, *args, **kwargs)
+
+    monkeypatch.setattr(bandwidth, "mse_pilot_objectives", spy)
+    return sizes
+
+
+def capped_case(name):
+    """(sample, kernel, p, candidates, rot_h, candidates scored) at the origin."""
+    rng = np.random.default_rng(14)
+    if name == "uniform-tie-straddles-the-cap":
+        # Dyadic rows all within 1: the uniform-kernel objectives at 1 and 2
+        # are exactly equal and the smallest, and 4 scores above them.
+        x = np.array([[-2, -2], [-2, 3], [1, -1], [1, 2], [3, -1], [2, 2], [3, 2]]) / 4.0
+        sample = Sample.from_data(np.array([3.0, 1, 3, -3, -3, 1, -1]), x, RULE)
+        return sample, "uniform", 0, np.array([0.05, 0.1, 0.2, 1.0, 2.0, 4.0]), 1.5, [5, 1]
+    if name == "every-candidate-fails":
+        sample = square_sample(rng, n=40)
+        return sample, "triangular", 1, np.geomspace(1e-4, 1e-2, 15), 1e-3, [8, 7]
+    sample = square_sample(rng, n=600)
+    column, H = origin_pilot(sample, 15)
+    if name == "cap-below-the-first-candidate":
+        return sample, "epanechnikov", 2, H, 0.5 * H[0], [1]
+    if name == "cap-equals-a-candidate":
+        return sample, "triangular", 1, H, float(H[7]), [8]
+    # every-below-cap-candidate-fails: no control row within 0.8 of the
+    # origin, so the cap is the first candidate that reaches one.
+    x = np.where(RULE.contains(sample.x)[:, None], sample.x, sample.x - 0.8)
+    sample = Sample.from_data(sample.y, x, RULE)
+    column, H = origin_pilot(sample, 15)
+    first = next(k for k, v in enumerate(mse_pilot_objectives(sample, ORIGIN, "uniform", 1, H))
+                 if isinstance(v, float))
+    return sample, "uniform", 1, H, float(H[first]), [first + 1]
+
+
+@pytest.mark.parametrize("name", ["cap-below-the-first-candidate", "cap-equals-a-candidate",
+                                  "every-below-cap-candidate-fails",
+                                  "uniform-tie-straddles-the-cap", "every-candidate-fails"])
+def test_capped_pilot_is_the_capped_whole_grid_pick(monkeypatch, name):
+    """``resolve_bandwidths``' call for the kink rule gives
+    ``kink_adaptive_bandwidth`` of the whole grid's pick, or its error, and
+    scores past the first candidate at or above the cap only when that one
+    does not win its batch."""
+    sample, kernel, p, H, rot_h, want_sizes = capped_case(name)
+    cap = kink_cap(ORIGIN, KINKED, rot_h)
+    assert cap == rot_h
+    whole = mse_pilot_objectives(sample, ORIGIN, kernel, p, H)
+    try:
+        want = kink_adaptive_bandwidth(ORIGIN, KINKED,
+                                       mse_pilot_bandwidth(sample, ORIGIN, kernel, p, H), rot_h)
+    except BddistError as err:
+        want = err
+    sizes = scored_sizes(monkeypatch)
+    try:
+        got = mse_pilot_bandwidth(sample, ORIGIN, kernel, p, H, cap=cap)
+    except BddistError as err:
+        got = err
+    assert outcome(got) == outcome(want)
+    assert sizes == want_sizes
+    stop = int(np.sum(H < cap))
+    if name == "cap-below-the-first-candidate":
+        assert stop == 0 and got == cap
+    elif name == "cap-equals-a-candidate":
+        assert H[stop] == cap and got == cap
+    elif name == "every-below-cap-candidate-fails":
+        assert stop > 0 and all(isinstance(v, BddistError) for v in whole[:stop])
+        assert got == cap
+    elif name == "uniform-tie-straddles-the-cap":
+        # The tie keeps the batch going: the first of equal minima, 1, wins.
+        assert H[stop - 1] < cap < H[stop] and whole[stop - 1] == whole[stop] < whole[stop + 1]
+        assert got == 1.0
+    else:
+        assert isinstance(got, BandwidthSelectionError)
+        assert str(got) == ("no candidate bandwidth in [0.0001, 0.01] produced a valid fit "
+                            "at (0.0, 0.0)")
+
+
+def resolve_sample(seed, n, kind):
+    """Uniform rows on [-1, 1]^2; one-sided moves the control rows away from
+    the origin, and shrunk scales the cloud so the diameter binds the grids."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (n, 2))
+    if kind == "one-sided":
+        x = np.where(RULE.contains(x)[:, None], x, x - 0.8)
+    elif kind == "shrunk":
+        x = 0.3 * x
+    return Sample.from_data(rng.normal(size=n), x, RULE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 400),
+       kind=st.sampled_from(["two-sided", "one-sided", "shrunk"]),
+       corner=st.floats(0.0, 1.0), kinked=st.booleans(),
+       c0=st.sampled_from([0.05, 0.5, 2.0, 8.0]),
+       kernel=st.sampled_from(FAMILIES), p=st.integers(0, 2))
+def test_kink_rule_is_the_capped_whole_grid_pick(seed, n, kind, corner, kinked, c0, kernel, p):
+    """Every point's outcome is ``kink_adaptive_bandwidth`` of the pick
+    over the whole candidate grid, bit for bit, or the error that pick
+    raises."""
+    sample = resolve_sample(seed, n, kind)
+    polyline = BoundaryPolyline.from_vertices([(0.0, 1.0), (corner - 1.0, 0.0), (1.0, 0.0)],
+                                              None if kinked else ())
+    grid = make_grid(polyline, 5)
+    rule = KinkAdaptive(c0=c0)
+    rot_h = rot_bandwidth(sample, polyline, rule.c0, rule.exponent)
+    diameter = data_diameter(sample.x)
+    want = []
+    for pt in grid.points:
+        try:
+            mags = np.sort(np.abs(build_distance_column(sample, pt).values))
+            h_mse = mse_pilot_bandwidth(sample, pt, kernel, p,
+                                        candidate_bandwidths([mags], diameter))
+            want.append(kink_adaptive_bandwidth(pt, polyline, h_mse, rot_h))
+        except BddistError as err:
+            want.append(err)
+    got = resolve_bandwidths(rule, sample, grid, kernel, p)
+    assert [outcome(v) for v in got] == [outcome(v) for v in want]
+
+
 class TestResolve:
     PL = BoundaryPolyline.from_vertices([(0.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
 
@@ -481,13 +654,7 @@ class TestResolve:
        kernel=st.sampled_from(FAMILIES), p=st.integers(0, 2))
 def test_pilot_picks_lie_in_half_the_diameter(seed, n, kind, rule, kernel, p):
     # Why the pilot rules need no range check in resolve_bandwidths.
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1.0, 1.0, (n, 2))
-    if kind == "one-sided":
-        x = np.where(RULE.contains(x)[:, None], x, x - 0.8)
-    elif kind == "shrunk":  # the diameter binds the candidate grids
-        x = 0.3 * x
-    sample = Sample.from_data(rng.normal(size=n), x, RULE)
+    sample = resolve_sample(seed, n, kind)
     grid = make_grid(TestResolve.PL, 4)
     half = data_diameter(sample.x) / 2
     for h in resolve_bandwidths(rule, sample, grid, kernel, p):

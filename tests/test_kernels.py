@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from bddist.data import Sample
 from bddist.errors import InvalidBandwidthError, InvalidInputError
 from bddist.geometry import QuadrantRule, signed_distances
-from bddist.kernels import FAMILIES, kernel_eval, kh_weight
+from bddist.kernels import FAMILIES, kernel_eval, kh_weight, support_weights
 from fit_oracle import DistanceColumn, build_distance_column
 
 
@@ -69,6 +69,32 @@ class TestKhWeight:
             kh_weight("uniform", 0.1, 0.0)
         with pytest.raises(InvalidBandwidthError):
             kh_weight("uniform", 0.1, -1.0)
+
+
+class TestSupportWeights:
+    """The pilot's one-pass weights on ascending |D| within h."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    # 1e200 ** 2 overflows to inf, and 1e-170 ** 2 and 1e-160 ** 2 underflow
+    # to 0 and to a subnormal: weights of 0, of inf and NaN (0 / 0 at |D| = h)
+    # and of inf from overflow.
+    @pytest.mark.parametrize("h", [0.7, 1.0, 3.0, 1e200, 1e-170, 1e-160, 5e-324])
+    def test_weights_and_count_equal_kh_weight(self, family, h):
+        rng = np.random.default_rng(0)
+        mags = np.sort(np.concatenate([
+            [0.0, 0.0, h, h, np.nextafter(h, 0.0), np.nextafter(np.nextafter(h, 0.0), 0.0)],
+            h * rng.uniform(0.0, 1.0, 40), rng.uniform(0.0, h, 10)]))
+        for m in (mags, mags[:0], mags[:1], mags[:-2]):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                w, count = support_weights(family, m, h)
+                want = kh_weight(family, m, h)
+            assert w.tobytes() == want.tobytes()
+            assert count == np.count_nonzero(want > 0.0)
+            assert type(count) is int
+
+    def test_unknown_family_raises(self):
+        with pytest.raises(InvalidInputError, match="unknown kernel family"):
+            support_weights("gaussian", np.array([0.1]), 1.0)
 
 
 class TestDistanceColumn:

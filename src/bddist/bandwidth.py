@@ -242,9 +242,9 @@ def _side_pilot(side: _Side, kernel: str, hs: np.ndarray, p: int, n: int,
     of them; the sums at h are rescaled by (scale/h)^j.
 
     ``scale`` is the largest valid candidate of the point's whole grid, not
-    of ``hs``: a row's entries, and so every candidate's sums, then have the
-    same bits whichever batch of the grid ``hs`` is, and the entries lie in
-    [-1, 1].  Each candidate's weights take one pass (``support_weights``).
+    of ``hs``, so a candidate's sums have the same bits whichever batch of
+    the grid ``hs`` is.  Each candidate's weights take one pass
+    (``support_weights``).
     """
     ends = np.searchsorted(side.mags, hs, side="right")
     m = ends.max()
@@ -254,7 +254,7 @@ def _side_pilot(side: _Side, kernel: str, hs: np.ndarray, p: int, n: int,
     for j in range(1, 2 * p + 3):
         np.multiply(rows[j - 1], u, out=rows[j])
     np.multiply(rows[:p + 2], side.y[:m], out=rows[2 * p + 3:])
-    # |D| gives kh_weight's bits of D: the kernels are even.
+    # |D| gives the weights of D: the kernels are even.
     pairs = [support_weights(kernel, side.mags[:e], h) for h, e in zip(hs, ends)]
     weights = [w for w, _ in pairs]
     sums = np.array([rows[:, :e] @ w for w, e in zip(weights, ends)])
@@ -279,13 +279,13 @@ def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
     (G_jk = mu_{j+k}) and scores of both orders are one product over the
     prefix of rows within it (``_side_pilot``).  One batched
     eigendecomposition and one stacked solve per order serve every
-    candidate and side.
+    candidate and side.  Sums of phi_i^2 run over the residuals themselves,
+    not over moments of y^2, so an affine change of y keeps its digits.
 
     The power rows are (D/scale)^j, ``scale`` by default the largest valid
-    candidate.  Scoring a contiguous slice of a point's grid against the
-    whole grid's scale gives that slice of the whole grid's entries, bit
-    for bit: every sum, solve and variance is a candidate's own.  Sums of phi_i^2 run over the residuals themselves,
-    not over moments of y^2, so an affine change of y keeps its digits.
+    candidate.  Every sum, solve and variance is a candidate's own, so a
+    contiguous slice of a point's grid, scored against the whole grid's
+    scale, gets that slice of the whole grid's entries, bit for bit.
 
     Returns one entry per candidate: the objective as a float, or the
     BddistError that the order-p or order-(p+1) fit would raise there.  The
@@ -358,7 +358,7 @@ def mse_pilot_bandwidth(sample, eval_pt, kernel: str, p: int, candidates,
     observations, singular design) are skipped, and the first of equal
     minima wins; if every candidate fails the selection fails.
 
-    With a cap, the candidates are scored in two batches, each against the
+    With a cap, the candidates are scored in two batches, both against the
     whole grid's scale, so every objective has the bits of a whole-grid
     call.  The first batch holds every candidate below the cap and the
     first one at or above it after them.  If that one is the first
@@ -372,6 +372,7 @@ def mse_pilot_bandwidth(sample, eval_pt, kernel: str, p: int, candidates,
     candidates = np.asarray(candidates, dtype=float)
     if candidates.size < 5:
         raise InvalidInputError("candidate grid needs >= 5 points")
+    # stop: the first candidate at or above the cap, after all below it.
     stop, scale = candidates.size, None
     if cap is not None:
         below = np.flatnonzero(candidates < cap)
@@ -409,10 +410,10 @@ def kink_adaptive_bandwidth(eval_pt, polyline: BoundaryPolyline, h_mse: float,
                             rot_h: float) -> float:
     """min(h_mse, max(rot_h, distance to the nearest kink)).
 
-    With no marked kinks the pilot bandwidth is returned unchanged.  The
-    cap comes from ``kink_cap``, which ``resolve_bandwidths`` calls before
-    the pilot, so that the pilot scores only the candidates that can still
-    set h (``mse_pilot_bandwidth``).
+    With no marked kinks the pilot bandwidth is returned unchanged.
+    ``resolve_bandwidths`` gets the same h from ``kink_cap`` and the capped
+    pilot (``mse_pilot_bandwidth``), which scores only the candidates that
+    can still set it.
     """
     if not (h_mse > 0.0 and rot_h > 0.0):
         raise InvalidInputError("bandwidths must be positive")
@@ -488,13 +489,11 @@ def resolve_bandwidths(rule, sample, grid, kernel: str, p: int) -> list:
     by |D|; the sorted sides serve both the candidate grid and every
     candidate's objective (``mse_pilot_objectives``).
 
-    The kink rule computes each point's cap first (``kink_cap``, shared
-    with ``kink_adaptive_bandwidth``) and hands it to
-    ``mse_pilot_bandwidth``, which scores the candidates above the cap only
-    if one of them can still set h: the outcome is
-    ``kink_adaptive_bandwidth(pt, polyline, h_mse, rot_h)`` of the
-    whole-grid pick h_mse, bit for bit, or the same error.  The early stop
-    mirrors the pick's tie rule (the first of equal minima).
+    The kink rule computes each point's cap first (``kink_cap``) and hands
+    it to ``mse_pilot_bandwidth``, which scores the candidates above it
+    only if one of them can still set h.  The outcome is
+    ``kink_adaptive_bandwidth`` of the whole-grid pick, bit for bit, or the
+    same error; the early stop mirrors the pick's tie rule.
     """
     if isinstance(rule, (Fixed, RuleOfThumb)):
         extent = coordinate_extent(sample.x)

@@ -480,7 +480,7 @@ def capped_case(name):
         sample = square_sample(rng, n=40)
         return sample, "triangular", 1, np.geomspace(1e-4, 1e-2, 15), 1e-3, [8, 7]
     sample = square_sample(rng, n=600)
-    column, H = origin_pilot(sample, 15)
+    _, H = origin_pilot(sample, 15)
     if name == "cap-below-the-first-candidate":
         return sample, "epanechnikov", 2, H, 0.5 * H[0], [1]
     if name == "cap-equals-a-candidate":
@@ -489,7 +489,7 @@ def capped_case(name):
     # origin, so the cap is the first candidate that reaches one.
     x = np.where(RULE.contains(sample.x)[:, None], sample.x, sample.x - 0.8)
     sample = Sample.from_data(sample.y, x, RULE)
-    column, H = origin_pilot(sample, 15)
+    _, H = origin_pilot(sample, 15)
     first = next(k for k, v in enumerate(mse_pilot_objectives(sample, ORIGIN, "uniform", 1, H))
                  if isinstance(v, float))
     return sample, "uniform", 1, H, float(H[first]), [first + 1]

@@ -189,11 +189,12 @@ def candidate_bandwidths(magnitudes, diameter: float,
 
 
 class _Side(NamedTuple):
-    """One side's rows at one point by ascending |D|, with their D and y."""
+    """One side's rows at one point by ascending |D|, with their y and the
+    side's sign: D = sign * |D|."""
 
     mags: np.ndarray
-    d: np.ndarray
     y: np.ndarray
+    sign: float
 
 
 def _split_sides(sample) -> list:
@@ -212,8 +213,7 @@ def _point_sides(split, eval_pt) -> list:
     for sign, (x, y) in zip((-1.0, 1.0), split):
         mags = point_distances(x, pt)
         order = np.argsort(mags)
-        mags = mags[order]
-        sides.append(_Side(mags, sign * mags, y[order]))
+        sides.append(_Side(mags[order], y[order], sign))
     return sides
 
 
@@ -239,16 +239,13 @@ def _side_pilot(side: _Side, kernel: str, hs: np.ndarray, p: int, n: int,
                 scale: float) -> _SidePilot:
     """Every candidate's sums on one side: one product per candidate over
     its prefix of the power rows (D/scale)^j and of y times the first p + 2
-    of them; the sums at h are rescaled by (scale/h)^j.
-
-    ``scale`` is the largest valid candidate of the point's whole grid, not
-    of ``hs``, so a candidate's sums have the same bits whichever batch of
-    the grid ``hs`` is.  Each candidate's weights take one pass
-    (``support_weights``).
+    of them; the sums at h are rescaled by (scale/h)^j.  Each candidate's
+    weights take one pass (``support_weights``).
     """
     ends = np.searchsorted(side.mags, hs, side="right")
     m = ends.max()
-    u = side.d[:m] / scale
+    # |D| / (sign * scale) has the bits of D / scale, with no copy of D.
+    u = side.mags[:m] / (side.sign * scale)
     rows = np.empty((3 * p + 5, m))
     rows[0] = 1.0
     for j in range(1, 2 * p + 3):
@@ -264,7 +261,7 @@ def _side_pilot(side: _Side, kernel: str, hs: np.ndarray, p: int, n: int,
 
 
 def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
-                         sides=None, scale=None) -> list:
+                         sides=None) -> list:
     """Estimated MSE at each candidate bandwidth at one point, in one pass
     per side.
 
@@ -282,10 +279,14 @@ def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
     candidate and side.  Sums of phi_i^2 run over the residuals themselves,
     not over moments of y^2, so an affine change of y keeps its digits.
 
-    The power rows are (D/scale)^j, ``scale`` by default the largest valid
-    candidate.  Every sum, solve and variance is a candidate's own, so a
-    contiguous slice of a point's grid, scored against the whole grid's
-    scale, gets that slice of the whole grid's entries, bit for bit.
+    The power rows are (D/scale)^j, ``scale`` the point's farthest row (the
+    largest |D| over both sides, 1 if every row sits at the point), so
+    every entry lies in [-1, 1].  The scale depends on the point alone and
+    every sum, solve and variance is a candidate's own, so any slice of a
+    point's grid, scored on its own, gets that slice of the whole grid's
+    entries, bit for bit.  The variance's sums of squares run on one
+    thread (``np.einsum``, not a BLAS dot), so their bits do not depend on
+    the BLAS thread count.
 
     Returns one entry per candidate: the objective as a float, or the
     BddistError that the order-p or order-(p+1) fit would raise there.  The
@@ -300,7 +301,7 @@ def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
     if sides is None:
         sides = _point_sides(_split_sides(sample), eval_pt)
     hs, n = candidates[valid], len(sample)
-    scale = hs.max() if scale is None else scale
+    scale = max((float(s.mags[-1]) for s in sides if s.mags.size), default=0.0) or 1.0
     pilots = [_side_pilot(s, kernel, hs, p, n, scale) for s in sides]
     # Axes: candidate, side, then the Gram's rows and columns.
     counts = np.stack([s.counts for s in pilots], axis=1)
@@ -333,7 +334,7 @@ def mse_pilot_objectives(sample, eval_pt, kernel: str, p: int, candidates,
             phi, f = c @ s.powers[:p + 1, :e]
             phi *= s.weights[k]
             phi *= np.subtract(side.y[:e], f, out=f)
-            variance += float(phi @ phi)
+            variance += float(np.einsum("i,i->", phi, phi))
         out[valid[k]] = float(gap * gap) + variance / (n * n)
     return out
 
@@ -358,34 +359,29 @@ def mse_pilot_bandwidth(sample, eval_pt, kernel: str, p: int, candidates,
     observations, singular design) are skipped, and the first of equal
     minima wins; if every candidate fails the selection fails.
 
-    With a cap, the candidates are scored in two batches, both against the
-    whole grid's scale, so every objective has the bits of a whole-grid
-    call.  The first batch holds every candidate below the cap and the
-    first one at or above it after them.  If that one is the first
-    minimum of its batch (valid, and below every valid objective before
-    it), a later candidate can only win by being smaller still, and is at
-    or above the cap too: h is the cap and the rest are never scored.
-    Otherwise the rest are scored and the pick over the whole grid is
-    capped.  The stop test is the pick's tie rule, so a change to that
-    rule must change both.
+    With a cap, the candidates are scored in two batches; a candidate's
+    objective does not depend on the others scored with it, so each has
+    the bits of a whole-grid call.  The first batch holds every candidate
+    below the cap and the first one at or above it after them.  If that
+    one is the first minimum of its batch (valid, and below every valid
+    objective before it), a later candidate can only win by being smaller
+    still, and is at or above the cap too: the rest are never scored, and
+    the capped pick is the cap.  Otherwise the rest are scored and the pick
+    over the whole grid is capped.  The stop test is the pick's tie rule,
+    so a change to that rule must change both.
     """
     candidates = np.asarray(candidates, dtype=float)
     if candidates.size < 5:
         raise InvalidInputError("candidate grid needs >= 5 points")
     # stop: the first candidate at or above the cap, after all below it.
-    stop, scale = candidates.size, None
+    stop = candidates.size
     if cap is not None:
         below = np.flatnonzero(candidates < cap)
         stop = below[-1] + 1 if below.size else 0
-        scale = max((h for h in candidates if bandwidth_error(h) is None), default=None)
-    first = min(stop + 1, candidates.size)
-    objectives = mse_pilot_objectives(sample, eval_pt, kernel, p, candidates[:first],
-                                      sides, scale)
-    if stop < candidates.size:
-        if _first_minimum(objectives) == stop:
-            return float(cap)
-        objectives += mse_pilot_objectives(sample, eval_pt, kernel, p, candidates[first:],
-                                           sides, scale)
+    objectives = mse_pilot_objectives(sample, eval_pt, kernel, p, candidates[:stop + 1], sides)
+    if stop + 1 < candidates.size and _first_minimum(objectives) != stop:
+        objectives += mse_pilot_objectives(sample, eval_pt, kernel, p, candidates[stop + 1:],
+                                           sides)
     best = _first_minimum(objectives)
     if best is None:
         raise BandwidthSelectionError(
@@ -491,9 +487,10 @@ def resolve_bandwidths(rule, sample, grid, kernel: str, p: int) -> list:
 
     The kink rule computes each point's cap first (``kink_cap``) and hands
     it to ``mse_pilot_bandwidth``, which scores the candidates above it
-    only if one of them can still set h.  The outcome is
-    ``kink_adaptive_bandwidth`` of the whole-grid pick, bit for bit, or the
-    same error; the early stop mirrors the pick's tie rule.
+    only if one of them can still set h.  An objective depends only on its
+    point and its candidate, so the outcome is ``kink_adaptive_bandwidth``
+    of the whole-grid pick, bit for bit, or the same error; the early stop
+    mirrors the pick's tie rule.
     """
     if isinstance(rule, (Fixed, RuleOfThumb)):
         extent = coordinate_extent(sample.x)

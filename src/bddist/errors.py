@@ -22,7 +22,7 @@ class InvalidLevelError(InvalidInputError):
 
 
 class InvalidPairingError(InvalidInputError):
-    """Two point fits do not share the sample, bandwidth, kernel, or order."""
+    """Point fits built from samples of different sizes are paired."""
 
 
 class InsufficientDataError(BddistError):

@@ -35,7 +35,7 @@ from .errors import (
     SingularSystemError,
 )
 from .geometry import as_point
-from .kernels import kernel_eval
+from .kernels import kh_weight
 
 _ANGLE_SAMPLES = 2048
 _ANGLE_TOL = 1e-12
@@ -204,15 +204,12 @@ def bias_functionals(kernel: str, p: int, s: float, h: float = 1.0):
     lo = min(s, h)
     total_err = 0.0
 
-    def k_scaled(u):
-        return kernel_eval(kernel, u / h) / (h * h)
-
     a_pow = np.empty(2 * p + 1)
     for m in range(2 * p + 1):
-        v1, e1 = _quad_checked(lambda u: (u / h) ** m * k_scaled(u) * u, 0.0, lo)
+        v1, e1 = _quad_checked(lambda u: (u / h) ** m * kh_weight(kernel, u, h) * u, 0.0, lo)
         v2, e2 = _quad_checked(
             lambda u: (np.pi - np.arccos(np.clip(s / u, -1.0, 1.0)))
-            * (u / h) ** m * k_scaled(u) * u,
+            * (u / h) ** m * kh_weight(kernel, u, h) * u,
             lo, h,
         )
         a_pow[m] = np.pi * v1 + v2
@@ -224,9 +221,9 @@ def bias_functionals(kernel: str, p: int, s: float, h: float = 1.0):
 
     B = np.empty(p + 1)
     for j in range(p + 1):
-        v1, e1 = _quad_checked(lambda u: (u / h) ** j * k_scaled(u) * u * u, 0.0, lo)
+        v1, e1 = _quad_checked(lambda u: (u / h) ** j * kh_weight(kernel, u, h) * u * u, 0.0, lo)
         v2, e2 = _quad_checked(
-            lambda u: (1.0 + s / u) * (u / h) ** j * k_scaled(u) * u * u, lo, h
+            lambda u: (1.0 + s / u) * (u / h) ** j * kh_weight(kernel, u, h) * u * u, lo, h
         )
         B[j] = 2.0 * v1 + v2
         total_err += 2.0 * e1 + e2

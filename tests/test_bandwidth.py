@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +40,7 @@ from bddist.errors import (
     SingularGramError,
 )
 from bddist.geometry import BoundaryPolyline, QuadrantRule, make_grid
-from bddist.kernels import FAMILIES, bandwidth_error
+from bddist.kernels import FAMILIES
 from bddist.locpoly import fit_point
 from bddist.simulation import default_dgp, draw_sample
 from fit_oracle import build_distance_column
@@ -415,15 +420,11 @@ def outcome(value):
     return repr(value)
 
 
-def grid_scale(H):
-    """The largest valid candidate of a grid: the scale of its power rows."""
-    return max(h for h in H if bandwidth_error(h) is None)
-
-
 def assert_slices_have_the_whole_grid_bits(sample, eval_pt, kernel, p, H, slices):
+    """Each slice of the grid, scored on its own, gets the whole grid's entries."""
     whole = mse_pilot_objectives(sample, eval_pt, kernel, p, H)
     for lo, hi in slices:
-        part = mse_pilot_objectives(sample, eval_pt, kernel, p, H[lo:hi], scale=grid_scale(H))
+        part = mse_pilot_objectives(sample, eval_pt, kernel, p, H[lo:hi])
         assert [outcome(v) for v in part] == [outcome(v) for v in whole[lo:hi]], (lo, hi)
     return whole
 
@@ -431,8 +432,7 @@ def assert_slices_have_the_whole_grid_bits(sample, eval_pt, kernel, p, H, slices
 @settings(max_examples=150, deadline=None)
 @given(case=pilot_cases(), kernel=st.sampled_from(FAMILIES), p=st.integers(0, 2),
        lo=st.integers(0, 20), width=st.integers(1, 20))
-def test_a_slice_scored_against_the_grid_scale_has_the_whole_grid_bits(case, kernel, p,
-                                                                        lo, width):
+def test_a_slice_scored_alone_has_the_whole_grid_bits(case, kernel, p, lo, width):
     sample, column, H = case
     lo %= H.size
     assert_slices_have_the_whole_grid_bits(sample, column.eval_pt, kernel, p, H,
@@ -453,6 +453,83 @@ def test_every_slice_has_the_whole_grid_bits(kernel, p):
 
 KINKED = TestKinkAdaptive.PL  # its kink is the origin, so the cap there is rot_h
 ORIGIN = (0.0, 0.0)
+
+
+def point_scale_case(name):
+    """(sample, column, H) at the origin for the edge cases of the power
+    rows' scale, the point's farthest row."""
+    rng = np.random.default_rng(21)
+    H = np.geomspace(0.05, 2.0, 8)
+    if name == "every-row-at-the-point":
+        x = np.zeros((30, 2))  # the origin is treated: no control row
+    elif name == "one-side-empty":
+        x = rng.uniform(0.1, 1.0, (200, 2))
+    else:
+        x = rng.uniform(-1.0, 1.0, (300, 2))
+    sample = Sample.from_data(rng.normal(size=len(x)), x, RULE)
+    column = build_distance_column(sample, ORIGIN)
+    if name == "farthest-row-at-the-largest-candidate":
+        H[-1] = np.abs(column.values).max()
+    return sample, column, H
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("kernel", FAMILIES)
+@pytest.mark.parametrize("name", ["every-row-at-the-point", "one-side-empty",
+                                  "farthest-row-at-the-largest-candidate"])
+def test_point_scale_edge_cases(name, kernel, p):
+    """Every slice has the whole grid's bits, with no RuntimeWarning (a zero
+    scale would divide 0 by 0), and the outcomes are the fits'."""
+    sample, column, H = point_scale_case(name)
+    slices = [(lo, hi) for lo in range(H.size) for hi in range(lo + 1, H.size + 1)]
+    got = assert_slices_have_the_whole_grid_bits(sample, ORIGIN, kernel, p, H, slices)
+    if name != "farthest-row-at-the-largest-candidate":
+        # Every candidate fails on the empty control side.
+        assert [outcome(v) for v in got] == [outcome(InsufficientDataError(0, 0, p + 1))] * H.size
+        return
+    assert sum(isinstance(v, float) for v in got) >= 4
+    for g, w in zip(got, oracle_outcomes(sample, column, kernel, p, H)):
+        if isinstance(w, BddistError):
+            assert outcome(g) == outcome(w)
+        else:
+            objective, kappa, scale = w
+            assert abs(g - objective) <= 1e-13 * kappa * (objective + scale * scale)
+
+
+# Every pilot objective at each grid point of the 2*10^4-row default sample,
+# for three kernels and p = 0, 1, 2, as JSON (floats by repr), errors by name.
+# The larger candidates' prefixes hold more than 10 000 rows, where OpenBLAS
+# splits a dot product over its threads.
+THREAD_PROBE = """
+import json
+import numpy as np
+from bddist.bandwidth import candidate_bandwidths, data_diameter, mse_pilot_objectives
+from bddist.geometry import make_grid, point_distances
+from bddist.kernels import FAMILIES
+from bddist.simulation import default_dgp, draw_sample
+spec = default_dgp()
+sample = draw_sample(spec, 20000, 0)
+diameter = data_diameter(sample.x)
+out = []
+for pt in make_grid(spec.boundary, 21).points:
+    H = candidate_bandwidths([np.sort(point_distances(sample.x, pt))], diameter)
+    for kernel in FAMILIES:
+        for p in range(3):
+            out.append([v if isinstance(v, float) else type(v).__name__
+                        for v in mse_pilot_objectives(sample, pt, kernel, p, H)])
+print(json.dumps(out))
+"""
+
+
+def test_pilot_objectives_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads),
+        capture_output=True, text=True, timeout=300, check=True).stdout)
+        for threads in ("1", "2")]
+    assert sum(isinstance(v, float) for r in runs[0] for v in r) > 1000
+    assert runs[0] == runs[1]
 
 
 def scored_sizes(monkeypatch):

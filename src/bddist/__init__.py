@@ -52,7 +52,6 @@ from .geometry import (
     PolygonRule,
     QuadrantRule,
     detect_kinks,
-    distance,
     load_boundary,
     make_grid,
     signed_distances,

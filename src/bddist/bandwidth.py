@@ -30,20 +30,16 @@ DEFAULT_C0 = 1.0
 DEFAULT_BW_EXPONENT = 0.25  # the rule of thumb's n^{-1/4} rate
 
 
-def _point_cloud(points) -> np.ndarray:
+def coordinate_extent(points) -> float:
+    """Largest per-coordinate range of a point cloud: a lower bound on its
+    diameter that takes one pass over the points and no hull.  It is the one
+    check of a cloud, ``data_diameter``'s too: an (n, 2) array of n >= 2
+    points whose coordinates and ranges are finite, else it raises."""
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[1] != 2:
         raise InvalidInputError(f"expected an (n, 2) point cloud, got shape {P.shape}")
     if len(P) < 2:
         raise InvalidInputError("need at least 2 points for a diameter")
-    return P
-
-
-def coordinate_extent(points) -> float:
-    """Largest per-coordinate range of a point cloud: a lower bound on its
-    diameter that takes one pass over the points and no hull.  A non-finite
-    coordinate makes its column's range non-finite, and raises."""
-    P = _point_cloud(points)
     # Column by column: a max over axis 0 of an (n, 2) array is far slower.
     # np.max, unlike max, returns a NaN range wherever it sits.
     extent = float(np.max([P[:, j].max() - P[:, j].min() for j in range(P.shape[1])]))
@@ -71,6 +67,12 @@ def _half_hull(points) -> list:
 def data_diameter(points) -> float:
     """Largest pairwise distance in a 2-d point cloud, over its convex hull.
 
+    The cloud, checked by ``coordinate_extent``, is multiplied by 2^-e, e
+    the binary exponent of its extent clamped to [-1000, 1000], so that the
+    square of the scaled extent neither overflows nor underflows.  The power
+    of two keeps every bit where the unscaled products would not either,
+    and 2^k times a cloud has 2^k times its diameter.
+
     An Akl-Toussaint prefilter first drops the points strictly inside the
     quadrilateral of the extreme points in x + y and x - y, taken
     counterclockwise: those with all four edge cross products > 0.  The
@@ -78,16 +80,15 @@ def data_diameter(points) -> float:
     inside it is strictly inside the hull and is no hull vertex; a point on
     an edge, or any point of a degenerate quadrilateral, stays.  Andrew's
     monotone chain then runs on the survivors, sorted by x and then y.
-    The largest distance is then taken over all pairs of hull vertices.
-    The worst case is a cloud in convex position (on a circle, say): every
-    point survives, the chain loops in Python over each one, and the pair
-    pass is quadratic in them.  A hull of fewer than 3 vertices (a
-    collinear cloud) gives the bounding-box diagonal, which is exact there.
-    A non-finite coordinate raises.
+    Every hull, a collinear cloud's two vertices included, gives the root of
+    the largest dx^2 + dy^2 over its pairs of vertices, over the scale.  The
+    worst case is a cloud in convex position (on a circle, say): every point
+    survives, the chain loops in Python over each one, and the pair pass is
+    quadratic in them.
     """
-    P = _point_cloud(points)
-    if not np.isfinite(P).all():
-        raise InvalidInputError("point coordinates must be finite")
+    P = np.asarray(points, dtype=float)
+    scale = math.ldexp(1.0, -min(max(math.frexp(coordinate_extent(P))[1], -1000), 1000))
+    P = P * scale
     s, t = P[:, 0] + P[:, 1], P[:, 0] - P[:, 1]
     quad = P[[s.argmin(), t.argmax(), s.argmax(), t.argmin()]]
     inside = np.ones(len(P), dtype=bool)
@@ -96,9 +97,6 @@ def data_diameter(points) -> float:
     kept = P[~inside]
     kept = kept[np.lexsort((kept[:, 1], kept[:, 0]))].tolist()
     hull = np.array(_half_hull(kept) + _half_hull(kept[::-1]))
-    if len(hull) < 3:
-        span = P.max(axis=0) - P.min(axis=0)
-        return float(np.hypot(*span))
     # Chunks of rows, each against the vertices from its first row on, keep
     # the temporaries near 2 MB.  A pair's dx * dx + dy * dy does not depend
     # on the chunking, so neither does the maximum.
@@ -109,7 +107,7 @@ def data_diameter(points) -> float:
         dx = hx[i:i + rows, None] - hx[None, i:]
         dy = hy[i:i + rows, None] - hy[None, i:]
         largest = max(largest, (dx * dx + dy * dy).max())
-    return float(np.sqrt(largest))
+    return float(np.sqrt(largest)) / scale
 
 
 def rot_scale(sample, polyline: BoundaryPolyline) -> float:

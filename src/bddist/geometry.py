@@ -84,11 +84,6 @@ def _segment_distance(P, a, b) -> np.ndarray:
     return np.hypot(P[:, 0] - (a[0] + t * ab[0]), P[:, 1] - (a[1] + t * ab[1]))
 
 
-def distance(a, b) -> float:
-    """Euclidean distance between two points."""
-    return float(point_distances(as_point(a)[None, :], as_point(b))[0])
-
-
 # ---------------------------------------------------------------------------
 # Boundary polyline
 # ---------------------------------------------------------------------------

@@ -63,10 +63,14 @@ def bandwidth_error(h) -> InvalidBandwidthError | None:
 
 
 def kh_weight(family: str, u, h: float) -> np.ndarray | float:
-    """Bandwidth-scaled kernel weight K(u/h) / h^2 (bivariate normalization)."""
+    """Bandwidth-scaled kernel weight K(u/h) / h^2 (bivariate normalization).
+    An h that is not positive and finite, or whose h * h underflows to 0 or
+    overflows (h below about 1e-162 or above about 1e154), raises."""
     err = bandwidth_error(h)
     if err is not None:
         raise err
+    if not 0.0 < h * h < math.inf:
+        raise InvalidBandwidthError(f"bandwidth h = {h} is out of range: h * h = {h * h}")
     return kernel_eval(family, np.asarray(u, dtype=float) / h) / (h * h)
 
 

@@ -741,32 +741,49 @@ def test_pilot_picks_lie_in_half_the_diameter(seed, n, kind, rule, kernel, p):
 COORD = st.floats(-1e6, 1e6, allow_nan=False)
 
 
+def _pair_diameter(points):
+    """The square root of the largest dx^2 + dy^2 over all pairs of points,
+    on the points times 2^-e, divided by 2^-e: e is the binary exponent of
+    the largest coordinate range, clamped to [-1000, 1000]."""
+    e = np.frexp(np.ptp(points, axis=0).max())[1]
+    scale = np.ldexp(1.0, -np.clip(e, -1000, 1000))
+    diff = (scale * points)[:, None, :] - (scale * points)[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(axis=2).max()) / scale)
+
+
 def _qhull_diameter(points):
-    """Reference diameter: Qhull's hull vertices, or the bounding-box
-    diagonal where Qhull finds the cloud flat."""
+    """Reference diameter: the largest pairwise distance over Qhull's hull
+    vertices, or ``_pair_diameter`` of every point where Qhull finds the
+    cloud flat."""
     from scipy.spatial import ConvexHull, QhullError
 
     try:
         hull = points[ConvexHull(points).vertices]
     except QhullError:
-        span = points.max(axis=0) - points.min(axis=0)
-        return float(np.hypot(*span))
+        return _pair_diameter(points)
     diff = hull[:, None, :] - hull[None, :, :]
     return float(np.sqrt((diff ** 2).sum(axis=2).max()))
 
 
 @st.composite
-def hull_clouds(draw):
-    """Float clouds, and small integer grids under an integer linear map:
-    the grids hold duplicates, collinear runs and exactly collinear clouds."""
+def grid_clouds(draw):
+    """Small integer grids under an integer linear map: they hold
+    duplicates, collinear runs and exactly collinear clouds."""
     n = draw(st.integers(2, 40))
-    if draw(st.booleans()):
-        return np.array(draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)))
     cells = st.tuples(st.integers(0, draw(st.integers(0, 4))),
                       st.integers(0, draw(st.integers(0, 4))))
     grid = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
     linear_map = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
     return grid @ np.array(linear_map, dtype=float).reshape(2, 2)
+
+
+@st.composite
+def hull_clouds(draw):
+    """Float clouds, and the integer grids of ``grid_clouds``."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        return np.array(draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)))
+    return draw(grid_clouds())
 
 
 class TestDataDiameter:
@@ -803,8 +820,34 @@ class TestDataDiameter:
     @example(pts=np.full((5, 2), 2.5))
     @example(pts=np.column_stack([np.arange(6.0), 2.0 * np.arange(6.0) - 1.0]))
     @example(pts=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]]))
+    # The chain keeps all three points; Qhull finds the cloud flat.
+    @example(pts=np.array([[0.0, 0.0], [836162.0, 1.6953125], [5e-324, 0.0]]))
     def test_equals_qhull_reference(self, pts):
         assert data_diameter(pts) == _qhull_diameter(pts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pts=grid_clouds(), k=st.integers(-1000, 1000))
+    def test_a_power_of_two_scales_the_diameter_exactly(self, pts, k):
+        assert data_diameter(2.0 ** k * pts) == 2.0 ** k * data_diameter(pts)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side", [1e155, 1e-160])
+    def test_triangle_at_the_ends_of_the_float_range(self, side):
+        # Unscaled, the squares of 1e155 overflow and those of 1e-160 are
+        # subnormal.
+        pts = side * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
+        diameter = data_diameter(pts)
+        assert np.isfinite(diameter)
+        assert abs(diameter - side) <= 1e-15 * side
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pts,want,ulps", [
+        (np.arange(6.0)[:, None] * np.full((1, 2), 1e-200), np.hypot(5e-200, 5e-200), 1),
+        (np.full((5, 2), 2.5), 0.0, 0),
+        (np.array([[0.0, 0.0], [5e-324, 0.0]]), 5e-324, 0),
+    ], ids=["diagonal-1e-200", "five-equal-points", "subnormal-pair"])
+    def test_tiny_and_empty_spans(self, pts, want, ulps):
+        assert abs(data_diameter(pts) - want) <= ulps * np.spacing(want)
 
     @pytest.mark.parametrize("n", [5000, 20000])
     def test_equals_qhull_reference_on_the_default_dgp(self, n):
@@ -812,8 +855,9 @@ class TestDataDiameter:
         assert data_diameter(x) == _qhull_diameter(x)
 
     def test_rounding_flat_cloud_takes_the_largest_pairwise_distance(self):
-        # Collinear up to rounding: Qhull finds it flat, and the bounding-box
-        # diagonal is 1 ulp above the largest pairwise distance.
+        # Collinear up to rounding: Qhull finds it flat, the monotone chain
+        # keeps all three points, and np.hypot of the span is 1 ulp above
+        # the largest pairwise distance.
         pts = np.array([[0.1, 0.2], [0.3, 0.6], [0.7, 1.4000000000000001]])
         diff = pts[:, None, :] - pts[None, :, :]
         assert data_diameter(pts) == np.sqrt((diff ** 2).sum(axis=2).max())

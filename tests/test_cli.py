@@ -476,7 +476,12 @@ class TestBiasOracle:
         (["--h", "nan", "--s-grid", "0.1"], "h must be positive and finite, got nan"),
         (["--h", "inf", "--s-grid", "0.1"], "h must be positive and finite, got inf"),
         (["--h", "0", "--s-grid", "0.1"], "h must be positive and finite, got 0.0"),
-    ], ids=["s-grid-empty", "s-grid-nan", "s-grid-list-nan", "h-nan", "h-inf", "h-zero"])
+        (["--h", "1e-170", "--s-grid", "0.1"],
+         "bandwidth h = 1e-170 is out of range: h * h = 0.0"),
+        (["--h", "1e200", "--s-grid", "0.1"],
+         "bandwidth h = 1e+200 is out of range: h * h = inf"),
+    ], ids=["s-grid-empty", "s-grid-nan", "s-grid-list-nan", "h-nan", "h-inf", "h-zero",
+            "h-square-underflows", "h-square-overflows"])
     def test_meaningless_setting_is_one_error_line(self, tmp_path, capsys, setting, message):
         out = tmp_path / "bias.csv"
         assert main(["bias-oracle", *setting, "--out", str(out)]) == 1

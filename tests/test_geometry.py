@@ -13,8 +13,8 @@ from bddist.geometry import (
     BoundaryPolyline,
     PolygonRule,
     QuadrantRule,
+    as_point,
     detect_kinks,
-    distance,
     load_boundary,
     make_grid,
     signed_distances,
@@ -36,21 +36,12 @@ def one_shot_distance(pl, P):
     return best
 
 
-class TestDistance:
-    def test_345_triangle(self):
-        assert distance((0, 0), (3, 4)) == 5.0
-
-    def test_identity(self):
-        assert distance((1, 1), (1, 1)) == 0.0
-
-    def test_sqrt2(self):
-        assert_allclose(distance((0, 0), (1, 1)), np.sqrt(2.0), rtol=1e-15)
-
+class TestAsPoint:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
-            distance((np.nan, 0), (0, 0))
+            as_point((np.nan, 0))
         with pytest.raises(InvalidInputError):
-            distance((0, 0), (np.inf, 1))
+            as_point((np.inf, 1))
 
 
 class TestSignedDistance:

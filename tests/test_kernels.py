@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -70,6 +72,15 @@ class TestKhWeight:
         with pytest.raises(InvalidBandwidthError):
             kh_weight("uniform", 0.1, -1.0)
 
+    @pytest.mark.parametrize("u", [0.1, np.array([0.0, 0.1, 1.0])], ids=["scalar", "array"])
+    @pytest.mark.parametrize("h,square", [(1e-170, "0.0"), (1e200, "inf")])
+    def test_bandwidth_whose_square_leaves_the_float_range(self, u, h, square):
+        # h * h underflows to 0 or overflows to inf: K(u/h) / h^2 would
+        # divide by zero or give 0 everywhere.
+        with pytest.raises(InvalidBandwidthError,
+                           match=re.escape(f"h = {h} is out of range: h * h = {square}")):
+            kh_weight("triangular", u, h)
+
 
 class TestSupportWeights:
     """The pilot's one-pass weights on ascending |D| within h."""
@@ -77,7 +88,8 @@ class TestSupportWeights:
     @pytest.mark.parametrize("family", FAMILIES)
     # 1e200 ** 2 overflows to inf, and 1e-170 ** 2 and 1e-160 ** 2 underflow
     # to 0 and to a subnormal: weights of 0, of inf and NaN (0 / 0 at |D| = h)
-    # and of inf from overflow.
+    # and of inf from overflow.  The reference is kh_weight's formula, which
+    # kh_weight itself refuses to apply where h * h is 0 or inf.
     @pytest.mark.parametrize("h", [0.7, 1.0, 3.0, 1e200, 1e-170, 1e-160, 5e-324])
     def test_weights_and_count_equal_kh_weight(self, family, h):
         rng = np.random.default_rng(0)
@@ -87,7 +99,7 @@ class TestSupportWeights:
         for m in (mags, mags[:0], mags[:1], mags[:-2]):
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 w, count = support_weights(family, m, h)
-                want = kh_weight(family, m, h)
+                want = kernel_eval(family, m / h) / (h * h)
             assert w.tobytes() == want.tobytes()
             assert count == np.count_nonzero(want > 0.0)
             assert type(count) is int

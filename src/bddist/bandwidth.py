@@ -87,7 +87,8 @@ def data_diameter(points) -> float:
     quadratic in them.
     """
     P = np.asarray(points, dtype=float)
-    scale = math.ldexp(1.0, -min(max(math.frexp(coordinate_extent(P))[1], -1000), 1000))
+    e = math.frexp(coordinate_extent(P))[1]
+    scale = math.ldexp(1.0, -min(max(e, -1000), 1000))
     P = P * scale
     s, t = P[:, 0] + P[:, 1], P[:, 0] - P[:, 1]
     quad = P[[s.argmin(), t.argmax(), s.argmax(), t.argmin()]]
